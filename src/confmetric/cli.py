@@ -113,6 +113,7 @@ def cmd_train(args) -> int:
         "model": args.out,
         "trace": args.trace,
         "status": trace.status,
+        "stop_reason": trace.stop_reason,
         "iterations": len(trace.records) - 1,
         "total": final.total,
         "pushpull": final.pushpull,

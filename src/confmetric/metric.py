@@ -78,9 +78,17 @@ def kernel_matrix(L, X, Q=None) -> np.ndarray:
         symmetric = False
     sq_w = np.einsum("ij,ij->i", W, W)
     sq_z = np.einsum("ij,ij->i", Z, Z)
-    d2 = sq_w[:, None] + sq_z[None, :] - 2.0 * (W @ Z.T)
+    # d2 = (sq_w + sq_z) - 2 W Z^T, built in place so that at most two
+    # n x n buffers are alive; doubling is exact, so the rounding is that of
+    # the plain expression
+    d2 = np.add.outer(sq_w, sq_z)
+    G = W @ Z.T
+    G *= 2.0
+    d2 -= G
+    del G
     np.maximum(d2, 0.0, out=d2)
-    K = np.exp(-d2)
+    np.negative(d2, out=d2)
+    K = np.exp(d2, out=d2)
     if symmetric:
         np.fill_diagonal(K, 1.0)
     return K
@@ -93,18 +101,32 @@ def similarity_scores(L, data: Dataset) -> np.ndarray:
     instance i to all other instances with label y (self excluded by index).
     Raises DegenerateClassError if any required reference set is empty.
     """
+    onehot, counts = _class_references(data)
+    return _class_scores(kernel_matrix(L, data.X), data.y, onehot, counts)
+
+
+def _class_references(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """One-hot labels and, per instance and class, the reference-set size.
+
+    The own-class reference set excludes the instance itself. Raises
+    DegenerateClassError if any reference set is empty.
+    """
     n0, n1 = data.class_counts()
     if n0 < 1 or n1 < 1 or data.n < 2:
         raise DegenerateClassError("each class needs at least one reference instance")
-    K = kernel_matrix(L, data.X)
     onehot = np.zeros((data.n, 2))
     onehot[np.arange(data.n), data.y] = 1.0
-    sums = K @ onehot
-    # remove the unit self-similarity from each instance's own-class sum
-    sums[np.arange(data.n), data.y] -= 1.0
     counts = np.array([n0, n1], dtype=np.float64)[None, :] - onehot
     if np.any(counts[np.arange(data.n), data.y] < 1):
         raise DegenerateClassError("a class has no reference instances besides self")
+    return onehot, counts
+
+
+def _class_scores(K, y, onehot, counts) -> np.ndarray:
+    """Class similarity scores from the symmetric unit-diagonal kernel K."""
+    sums = K @ onehot
+    # remove the unit self-similarity from each instance's own-class sum
+    sums[np.arange(len(y)), y] -= 1.0
     return sums / counts
 
 

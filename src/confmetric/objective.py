@@ -7,6 +7,17 @@ adds a pairwise hinge penalty that pushes the score margin of instances the
 labeler was more confident about above the margin of instances she was less
 confident about, within each class.
 
+``Objective`` evaluates the ranking variant on one dataset. What depends
+only on the data (the class-structure matrix, the class reference counts,
+the ranking pairs and the weights) is built once, when it is constructed.
+``Objective.value(L)`` computes one n x n kernel matrix and returns the loss
+together with an ``ObjectiveCache`` holding that kernel and the per-instance
+margins; ``Objective.gradient(L, cache)`` reuses both, so the loss and the
+gradient at one L share a single kernel. ``camel_cl_loss`` and
+``smooth_gradient`` are one-shot wrappers over it. ``camel_loss`` computes
+the base loss on its own, through ``similarity_scores``, and is the
+reference the ranking variant must equal exactly when lambda2 is 0.
+
 The L1 term is not differentiated here; the optimizer handles it through a
 proximal step. At exact hinge kinks the subgradient 0 is used.
 """
@@ -23,7 +34,13 @@ from .errors import (
     MissingSupervisionError,
     ValidationError,
 )
-from .metric import _check_metric, similarity_scores
+from .metric import (
+    _check_metric,
+    _class_references,
+    _class_scores,
+    kernel_matrix,
+    similarity_scores,
+)
 
 _PAIR_STREAM = 4  # keeps equal seeds from aliasing other RNG consumers
 
@@ -32,13 +49,10 @@ _PAIR_STREAM = 4  # keeps equal seeds from aliasing other RNG consumers
 class ObjectiveConfig:
     lambda1: float = 0.0
     lambda2: float = 0.0
-    pair_cap: int | None = None
 
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValidationError("regularization weights must be nonnegative")
-        if self.pair_cap is not None and self.pair_cap < 1:
-            raise ValidationError("pair_cap must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -116,63 +130,104 @@ def camel_loss(L, data: Dataset, lambda1: float) -> LossBreakdown:
     return LossBreakdown(pushpull=pushpull, l1=l1, ranking=0.0)
 
 
+@dataclass(frozen=True)
+class ObjectiveCache:
+    """What ``Objective.value`` computed at one L, for ``gradient`` at that L."""
+
+    kernel: np.ndarray  # (n, n) Gaussian kernel over the training rows
+    margins: np.ndarray  # (n,) own-class minus opposite-class score
+
+
+class Objective:
+    """Class-label loss, L1 penalty and ranking hinge on one dataset.
+
+    Built once per dataset and evaluated at many L. Both class reference
+    sets of every instance must be nonempty, and every ranking pair must
+    index a training row.
+    """
+
+    def __init__(
+        self, data: Dataset, pairs: RankingPairs, lambda1: float, lambda2: float
+    ):
+        self.data = data
+        self.onehot, self.counts = _class_references(data)
+        self.pairs = _check_pairs(pairs, data.n)
+        self.lambda1 = lambda1
+        self.lambda2 = lambda2
+        idx = np.arange(data.n)
+        own = self.counts[idx, data.y]
+        opp = self.counts[idx, 1 - data.y]
+        same = data.y[:, None] == data.y[None, :]
+        # V[i, j]: weight of kernel value k_ij in instance i's margin
+        self.V = np.where(same, (1.0 / own)[:, None], (-1.0 / opp)[:, None])
+        np.fill_diagonal(self.V, 0.0)
+
+    def _hinge_args(self, margins: np.ndarray) -> np.ndarray | None:
+        """Per-pair hinge argument, or None when the ranking term is off."""
+        p = self.pairs
+        if self.lambda2 > 0 and len(p):
+            return margins[p[:, 1]] - margins[p[:, 0]]
+        return None
+
+    def value(self, L) -> tuple[LossBreakdown, ObjectiveCache]:
+        """Loss at L, and the kernel and margins it was computed from.
+
+        For each pair (a, b) the hinge activates when b's margin exceeds
+        a's, i.e. when the model orders the two against the labeler's
+        confidences.
+        """
+        L = _check_metric(L)
+        y = self.data.y
+        K = kernel_matrix(L, self.data.X)
+        marg = _margins(_class_scores(K, y, self.onehot, self.counts), y)
+        pushpull = float(-np.sum(marg))
+        l1 = float(self.lambda1 * np.abs(L).sum())
+        ranking = 0.0
+        args = self._hinge_args(marg)
+        if args is not None:
+            ranking = float(self.lambda2 * np.maximum(0.0, args).sum())
+        loss = LossBreakdown(pushpull=pushpull, l1=l1, ranking=ranking)
+        return loss, ObjectiveCache(kernel=K, margins=marg)
+
+    def gradient(self, L, cache: ObjectiveCache) -> np.ndarray:
+        """Gradient of the smooth loss terms (push/pull + ranking) in L.
+
+        ``cache`` must be what ``value`` returned for this same L; its
+        kernel is read, not recomputed. The L1 term is excluded; the
+        proximal step owns it. Derivation: each kernel value
+        k = exp(-||L d||^2) contributes dk/dL = -2 k L d d^T, and every
+        smooth term is a weighted sum of per-instance margins, so the
+        gradient collapses to -2 L X^T P X with P = diag(r) - A - A^T,
+        A = diag(coef) (V * K) and r the row plus column sums of A.
+        """
+        L = _check_metric(L)
+        X = self.data.X
+        # coefficient of each instance's margin in the smooth loss
+        coef = -np.ones(self.data.n)
+        args = self._hinge_args(cache.margins)
+        if args is not None:
+            active = self.pairs[args > 0.0]
+            np.subtract.at(coef, active[:, 0], self.lambda2)
+            np.add.at(coef, active[:, 1], self.lambda2)
+        A = coef[:, None] * self.V
+        A *= cache.kernel
+        r = A.sum(axis=1) + A.sum(axis=0)
+        PX = r[:, None] * X
+        PX -= A @ X
+        PX -= A.T @ X
+        return -2.0 * L @ (X.T @ PX)
+
+
 def camel_cl_loss(
     L, data: Dataset, cfg: ObjectiveConfig, pairs: RankingPairs
 ) -> LossBreakdown:
-    """Class-label loss plus L1 plus the hinge ranking penalty.
-
-    For each pair (a, b) the hinge activates when b's margin exceeds a's,
-    i.e. when the model orders the two against the labeler's confidences.
-    """
-    L = _check_metric(L)
-    p = _check_pairs(pairs, data.n)
-    S = similarity_scores(L, data)
-    marg = _margins(S, data.y)
-    pushpull = float(-np.sum(marg))
-    l1 = float(cfg.lambda1 * np.abs(L).sum())
-    ranking = 0.0
-    if cfg.lambda2 > 0 and len(p):
-        hinge = np.maximum(0.0, marg[p[:, 1]] - marg[p[:, 0]])
-        ranking = float(cfg.lambda2 * hinge.sum())
-    return LossBreakdown(pushpull=pushpull, l1=l1, ranking=ranking)
+    """Class-label loss plus L1 plus the hinge ranking penalty."""
+    return Objective(data, pairs, cfg.lambda1, cfg.lambda2).value(L)[0]
 
 
 def smooth_gradient(
     L, data: Dataset, cfg: ObjectiveConfig, pairs: RankingPairs
 ) -> np.ndarray:
-    """Gradient of the smooth loss terms (push/pull + ranking) in L.
-
-    The L1 term is excluded; the proximal step owns it. Derivation: each
-    kernel value k = exp(-||L d||^2) contributes dk/dL = -2 k L d d^T, and
-    every smooth term is a weighted sum of per-instance margins, so the
-    gradient collapses to -2 L X^T P X for a graph-Laplacian-like matrix P
-    built from the weighted kernel matrix.
-    """
-    L = _check_metric(L)
-    p = _check_pairs(pairs, data.n)
-    n = data.n
-    S = similarity_scores(L, data)  # validates class counts
-    marg = _margins(S, data.y)
-
-    # coefficient of each instance's margin in the smooth loss
-    coef = -np.ones(n)
-    if cfg.lambda2 > 0 and len(p):
-        hinge_arg = marg[p[:, 1]] - marg[p[:, 0]]
-        active = p[hinge_arg > 0.0]
-        np.subtract.at(coef, active[:, 0], cfg.lambda2)
-        np.add.at(coef, active[:, 1], cfg.lambda2)
-
-    from .metric import kernel_matrix
-
-    K = kernel_matrix(L, data.X)
-    n0, n1 = data.class_counts()
-    counts = np.where(data.y == 1, n1 - 1, n0 - 1).astype(np.float64)
-    opp_counts = np.where(data.y == 1, n0, n1).astype(np.float64)
-    same = (data.y[:, None] == data.y[None, :]).astype(np.float64)
-    np.fill_diagonal(same, 0.0)
-    V = same / counts[:, None] - (1.0 - same) / opp_counts[:, None]
-    np.fill_diagonal(V, 0.0)
-    A = coef[:, None] * V * K
-
-    P = np.diag(A.sum(axis=1) + A.sum(axis=0)) - A - A.T
-    return -2.0 * L @ (data.X.T @ P @ data.X)
+    """Gradient of the smooth loss terms (push/pull + ranking) in L."""
+    objective = Objective(data, pairs, cfg.lambda1, cfg.lambda2)
+    return objective.gradient(L, objective.value(L)[1])

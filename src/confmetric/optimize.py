@@ -22,14 +22,7 @@ from .errors import (
     NumericalFailureError,
     ValidationError,
 )
-from .objective import (
-    LossBreakdown,
-    ObjectiveConfig,
-    RankingPairs,
-    build_ranking_pairs,
-    camel_cl_loss,
-    smooth_gradient,
-)
+from .objective import LossBreakdown, Objective, RankingPairs, build_ranking_pairs
 
 _MIN_STEP = 1e-20
 _INIT_STREAM = 3  # keeps equal seeds from aliasing other RNG consumers
@@ -80,6 +73,8 @@ class TrainConfig:
             raise ValidationError("max_iters must be positive")
         if self.rel_tol <= 0:
             raise ValidationError("rel_tol must be positive")
+        if self.pair_cap is not None and self.pair_cap < 1:
+            raise ValidationError("pair_cap must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -96,6 +91,9 @@ class TraceRecord:
 class TrainTrace:
     records: list[TraceRecord] = field(default_factory=list)
     status: str = "max_iters"  # "converged" or "max_iters"
+    # why the loop ended: "rel_tol", "step_underflow" or "max_iters"; both
+    # of the first two report status "converged"
+    stop_reason: str = "max_iters"
 
     def append(self, loss: LossBreakdown, step_size: float, L: np.ndarray):
         self.records.append(
@@ -149,6 +147,11 @@ def init_metric(m: int, m_prime: int, data: Dataset, policy, seed: int) -> np.nd
 def fit(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     """Minimize the training objective by proximal gradient descent.
 
+    One ``Objective`` serves the whole fit. The starting loss and every
+    line-search trial compute exactly one kernel matrix; the accepted
+    trial's cache (kernel and margins) feeds the next gradient and is then
+    dropped, so only one n x n kernel is alive while later trials run.
+
     Returns the final metric matrix and the full per-iteration trace.
     Deterministic given the dataset and the config seed.
     """
@@ -162,15 +165,13 @@ def fit(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     m_prime = cfg.proj_dim if cfg.proj_dim is not None else m
     L = init_metric(m, m_prime, data, cfg.init_policy, cfg.seed)
 
-    obj = ObjectiveConfig(
-        lambda1=cfg.lambda1, lambda2=cfg.lambda2, pair_cap=cfg.pair_cap
-    )
     if cfg.lambda2 > 0:
         pairs = build_ranking_pairs(data.y, data.c, cfg.pair_cap, cfg.seed)
     else:
         pairs = RankingPairs()
+    objective = Objective(data, pairs, cfg.lambda1, cfg.lambda2)
 
-    loss = camel_cl_loss(L, data, obj, pairs)
+    loss, cache = objective.value(L)
     if not np.isfinite(loss.total):
         raise NumericalFailureError("non-finite loss at initialization", iteration=0)
 
@@ -180,32 +181,34 @@ def fit(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     trace = TrainTrace()
     trace.append(loss, eta, L)
 
+    def trial(k, L, g, eta):
+        L_new = soft_threshold(L - eta * g, eta * cfg.lambda1)
+        loss_new, cache_new = objective.value(L_new)
+        if not np.isfinite(loss_new.total):
+            raise NumericalFailureError(
+                f"non-finite loss at iteration {k + 1}", iteration=k + 1
+            )
+        return L_new, loss_new, cache_new
+
     for k in range(cfg.max_iters):
-        g = smooth_gradient(L, data, obj, pairs)
+        g = objective.gradient(L, cache)
+        cache = None  # free this kernel before the trials build theirs
         if backtracking:
             accepted = False
             while eta >= _MIN_STEP:
-                L_new = soft_threshold(L - eta * g, eta * cfg.lambda1)
-                loss_new = camel_cl_loss(L_new, data, obj, pairs)
-                if not np.isfinite(loss_new.total):
-                    raise NumericalFailureError(
-                        f"non-finite loss at iteration {k + 1}", iteration=k + 1
-                    )
+                L_new, loss_new, cache = trial(k, L, g, eta)
                 if loss_new.total <= loss.total:
                     accepted = True
                     break
+                cache = None
                 eta *= cfg.step_policy.shrink
             if not accepted:
                 # step size underflowed without descent; treat as stationary
                 trace.status = "converged"
+                trace.stop_reason = "step_underflow"
                 break
         else:
-            L_new = soft_threshold(L - eta * g, eta * cfg.lambda1)
-            loss_new = camel_cl_loss(L_new, data, obj, pairs)
-            if not np.isfinite(loss_new.total):
-                raise NumericalFailureError(
-                    f"non-finite loss at iteration {k + 1}", iteration=k + 1
-                )
+            L_new, loss_new, cache = trial(k, L, g, eta)
 
         rel_change = abs(loss_new.total - loss.total) / max(abs(loss.total), 1e-12)
         L, loss = L_new, loss_new
@@ -214,6 +217,7 @@ def fit(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
             eta *= cfg.step_policy.growth
         if rel_change < cfg.rel_tol:
             trace.status = "converged"
+            trace.stop_reason = "rel_tol"
             break
 
     return L, trace

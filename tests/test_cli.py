@@ -59,6 +59,7 @@ class TestTrainPredictEvaluate:
         assert code == 0
         info = json.loads(out)
         assert info["status"] in ("converged", "max_iters")
+        assert info["stop_reason"] in ("rel_tol", "step_underflow", "max_iters")
         assert 0.0 <= info["sparsity"] <= 1.0
         with open(trace) as fh:
             trows = list(csv.DictReader(fh))

@@ -11,6 +11,7 @@ from confmetric import (
     class_similarity,
     class_similarity_query,
     confidence_score,
+    kernel_matrix,
     kernel_similarity,
     predict,
     similarity_scores,
@@ -105,6 +106,31 @@ class TestClassSimilarity:
         data = Dataset(np.array([[0.0], [2.0], [1.0]]), [1, 1, 0])
         s = class_similarity(np.eye(1), data, 0, 1)
         assert s == pytest.approx(math.exp(-4.0))
+
+
+def seed_order_kernel(L, X, Q=None):
+    """Kernel matrix evaluated as the plain expression exp(-max(d2, 0))."""
+    Z = X @ L.T
+    W = Z if Q is None else Q @ L.T
+    sq_w = np.einsum("ij,ij->i", W, W)
+    sq_z = np.einsum("ij,ij->i", Z, Z)
+    d2 = sq_w[:, None] + sq_z[None, :] - 2.0 * (W @ Z.T)
+    K = np.exp(-np.maximum(d2, 0.0))
+    if Q is None:
+        np.fill_diagonal(K, 1.0)
+    return K
+
+
+class TestKernelMatrix:
+    def test_bit_identical_to_plain_expression(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n, q, m = rng.integers(1, 40, size=3)
+            L = rng.normal(size=(int(rng.integers(1, 6)), m)) * rng.uniform(0.1, 3.0)
+            X = rng.normal(size=(n, m))
+            Q = rng.normal(size=(q, m))
+            assert np.array_equal(kernel_matrix(L, X), seed_order_kernel(L, X))
+            assert np.array_equal(kernel_matrix(L, X, Q), seed_order_kernel(L, X, Q))
 
 
 class TestClassSimilarityQuery:

@@ -12,9 +12,12 @@ from confmetric import (
     build_ranking_pairs,
     camel_cl_loss,
     camel_loss,
+    kernel_matrix,
     margin,
+    similarity_scores,
     smooth_gradient,
 )
+from confmetric.objective import Objective
 
 
 def brute_force_loss(L, X, y, lambda1):
@@ -284,3 +287,74 @@ class TestSmoothGradient:
         g_with = smooth_gradient(L, data, ObjectiveConfig(lambda2=0.0), pairs)
         g_without = smooth_gradient(L, data, ObjectiveConfig(lambda2=0.0), RankingPairs())
         assert np.array_equal(g_with, g_without)
+
+
+def dense_gradient(L, data, lambda2, pairs):
+    """-2 L X^T P X with P formed explicitly, entry by entry."""
+    n, y, X = data.n, data.y, data.X
+    S = similarity_scores(L, data)
+    marg = S[np.arange(n), y] - S[np.arange(n), 1 - y]
+    coef = -np.ones(n)
+    if lambda2 > 0:
+        for a, b in pairs.pairs:
+            if marg[b] - marg[a] > 0.0:
+                coef[a] -= lambda2
+                coef[b] += lambda2
+    n1 = int(y.sum())
+    sizes = {0: n - n1, 1: n1}
+    K = kernel_matrix(L, X)
+    A = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if y[i] == y[j]:
+                A[i, j] = coef[i] * K[i, j] / (sizes[y[i]] - 1)
+            else:
+                A[i, j] = -coef[i] * K[i, j] / sizes[1 - y[i]]
+    P = np.diag(A.sum(axis=1) + A.sum(axis=0)) - A - A.T
+    return -2.0 * L @ X.T @ P @ X
+
+
+class TestObjective:
+    """One Objective evaluated at several L, against independent formulas."""
+
+    CASES = [(0.0, None), (1.5, None), (0.7, 5)]  # (lambda2, pair_cap)
+
+    @pytest.mark.parametrize("lambda2,pair_cap", CASES)
+    def test_loss_matches_wrappers_and_scores(self, lambda2, pair_cap):
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            data = random_dataset(rng, n=int(rng.integers(6, 14)))
+            pairs = build_ranking_pairs(data.y, data.c, pair_cap=pair_cap, seed=2)
+            if pair_cap is not None:
+                assert len(pairs) == pair_cap
+            objective = Objective(data, pairs, 0.3, lambda2)
+            for _ in range(3):
+                L = rng.normal(size=(int(rng.integers(1, 4)), 3))
+                loss, cache = objective.value(L)
+                cfg = ObjectiveConfig(lambda1=0.3, lambda2=lambda2)
+                assert loss == camel_cl_loss(L, data, cfg, pairs)
+                base = camel_loss(L, data, 0.3)
+                assert (loss.pushpull, loss.l1) == (base.pushpull, base.l1)
+                S = similarity_scores(L, data)
+                marg = S[np.arange(data.n), data.y] - S[np.arange(data.n), 1 - data.y]
+                assert np.array_equal(cache.margins, marg)
+                hinge = np.maximum(0.0, marg[pairs.pairs[:, 1]] - marg[pairs.pairs[:, 0]])
+                ranking = float(lambda2 * hinge.sum()) if lambda2 > 0 else 0.0
+                assert loss.ranking == ranking
+
+    @pytest.mark.parametrize("lambda2,pair_cap", CASES)
+    def test_gradient_matches_dense_formula(self, lambda2, pair_cap):
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            data = random_dataset(rng, n=int(rng.integers(6, 14)))
+            pairs = build_ranking_pairs(data.y, data.c, pair_cap=pair_cap, seed=3)
+            objective = Objective(data, pairs, 0.3, lambda2)
+            for _ in range(3):
+                L = rng.normal(size=(int(rng.integers(1, 4)), 3)) * 0.6
+                g = objective.gradient(L, objective.value(L)[1])
+                ref = dense_gradient(L, data, lambda2, pairs)
+                assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+                cfg = ObjectiveConfig(lambda1=0.3, lambda2=lambda2)
+                assert np.array_equal(g, smooth_gradient(L, data, cfg, pairs))

@@ -16,6 +16,7 @@ from confmetric import (
     camel_cl_loss,
     fit,
     init_metric,
+    kernel_matrix,
     soft_threshold,
     synth_generate,
 )
@@ -165,9 +166,38 @@ class TestFit:
     def test_convergence_status(self):
         data = small_dataset(seed=11)
         _, trace = fit(data, TrainConfig(lambda1=0.5, max_iters=500, rel_tol=1e-6))
-        assert trace.status == "converged"
+        assert (trace.status, trace.stop_reason) == ("converged", "rel_tol")
         _, trace2 = fit(data, TrainConfig(lambda1=0.5, max_iters=2, rel_tol=1e-15))
-        assert trace2.status == "max_iters"
+        assert (trace2.status, trace2.stop_reason) == ("max_iters", "max_iters")
+        assert len(trace2.records) == 3
+
+    def test_step_underflow_stop_reason(self):
+        data = small_dataset(seed=11)
+        # a first step already below the smallest trial step size
+        policy = BacktrackingStep(eta0=1e-21)
+        _, trace = fit(data, TrainConfig(lambda1=0.5, step_policy=policy))
+        assert (trace.status, trace.stop_reason) == ("converged", "step_underflow")
+        assert len(trace.records) == 1
+
+    def test_one_kernel_per_loss_evaluation(self, monkeypatch):
+        import confmetric.objective as objective
+
+        calls = []
+
+        def counting_kernel_matrix(*args, **kwargs):
+            calls.append(1)
+            return kernel_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(objective, "kernel_matrix", counting_kernel_matrix)
+        data = small_dataset(seed=14)
+        for lambda2 in (0.0, 1.0):
+            calls.clear()
+            cfg = TrainConfig(lambda1=0.1, lambda2=lambda2, max_iters=12,
+                              rel_tol=1e-15, step_policy=FixedStep(eta=0.05))
+            _, trace = fit(data, cfg)
+            iterations = len(trace.records) - 1
+            assert iterations == 12
+            assert len(calls) == iterations + 1
 
     def test_degenerate_class_rejected(self):
         data = Dataset(np.random.default_rng(0).normal(size=(5, 2)), [0, 0, 0, 0, 1])
@@ -186,6 +216,8 @@ class TestFit:
             TrainConfig(proj_dim=0)
         with pytest.raises(ValidationError):
             TrainConfig(rel_tol=0.0)
+        with pytest.raises(ValidationError):
+            TrainConfig(pair_cap=0)
 
     def test_backtracking_defaults(self):
         policy = BacktrackingStep()
