@@ -16,7 +16,6 @@ from .errors import (
 from .experiment import (
     ExperimentConfig,
     ResultRecord,
-    positive_scores,
     run_experiment,
     summarize,
     write_results_csv,
@@ -36,10 +35,10 @@ from .evaluate import (
 from .metric import (
     Prediction,
     class_similarity,
-    class_similarity_query,
     confidence_score,
     kernel_matrix,
     kernel_similarity,
+    positive_scores,
     predict,
     similarity_scores,
     squared_distance,
@@ -47,7 +46,6 @@ from .metric import (
 from .model_io import ModelFile, load_model, save_model, schema_fingerprint
 from .objective import (
     LossBreakdown,
-    ObjectiveConfig,
     RankingPairs,
     build_ranking_pairs,
     camel_cl_loss,
@@ -67,6 +65,8 @@ from .optimize import (
     soft_threshold,
 )
 
+ObjectiveConfig = TrainConfig  # former name of the lambda weights' config
+
 __version__ = "0.1.0"
 
 __all__ = [
@@ -76,15 +76,15 @@ __all__ = [
     "DimensionMismatchError", "MissingSupervisionError",
     "NumericalFailureError", "SchemaMismatchError", "UndefinedMetricError",
     "ValidationError",
-    "ExperimentConfig", "ResultRecord", "positive_scores", "run_experiment",
+    "ExperimentConfig", "ResultRecord", "run_experiment",
     "summarize", "write_results_csv", "write_summary_csv",
     "EvalReport", "FeatureWeightStats", "auroc", "feature_weight_stats",
     "heatmap_matrix", "n_zero_rows", "report", "row_rank", "sparsity",
-    "Prediction", "class_similarity", "class_similarity_query",
-    "confidence_score", "kernel_matrix", "kernel_similarity", "predict",
-    "similarity_scores", "squared_distance",
+    "Prediction", "class_similarity", "confidence_score", "kernel_matrix",
+    "kernel_similarity", "positive_scores", "predict", "similarity_scores",
+    "squared_distance",
     "ModelFile", "load_model", "save_model", "schema_fingerprint",
-    "LossBreakdown", "ObjectiveConfig", "RankingPairs",
+    "LossBreakdown", "RankingPairs",
     "build_ranking_pairs", "camel_cl_loss", "camel_loss", "margin",
     "smooth_gradient",
     "BacktrackingStep", "FixedStep", "ScaledIdentityInit",

@@ -13,9 +13,18 @@ import sys
 
 import numpy as np
 
-from .data_io import DatasetSchema, SynthConfig, load_csv, save_csv, synth_generate
+from .data_io import (
+    DatasetSchema,
+    SynthConfig,
+    _parse_numbers,
+    _require_columns,
+    load_csv,
+    read_json_config,
+    save_csv,
+    synth_generate,
+)
 from .dataset import Dataset
-from .errors import ConfmetricError, SchemaMismatchError, ValidationError
+from .errors import ConfmetricError, ValidationError
 from .evaluate import (
     auroc,
     feature_weight_stats,
@@ -26,13 +35,13 @@ from .evaluate import (
 )
 from .experiment import (
     load_config,
-    positive_scores,
     run_experiment,
     summarize,
     write_results_csv,
     write_summary_csv,
 )
-from .model_io import ModelFile, load_model, save_model, schema_fingerprint
+from .metric import positive_scores
+from .model_io import ModelFile, load_model, save_model
 from .optimize import TrainConfig, fit
 
 
@@ -128,17 +137,10 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     if model.train_X is None:
         raise ValidationError("model file lacks training instances; cannot score")
-    header = _read_header(args.data)
-    reserved = {args.label, args.confidence, args.id_column}
-    data_features = [c for c in header if c not in reserved]
-    fp = schema_fingerprint(data_features)
-    if fp != model.fingerprint:
-        raise SchemaMismatchError(
-            f"model fingerprint {model.fingerprint} does not match data "
-            f"fingerprint {fp}"
-        )
+    schema = _schema_from_flags(args.data, args)
+    model.check_compatible(schema.feature_columns)
     # labels are not needed for scoring; parse features and optional ids only
-    rows, ids = _read_feature_rows(args.data, model.feature_columns, args.id_column)
+    rows, ids = _read_feature_rows(args.data, schema.feature_columns, args.id_column)
     train = Dataset(model.train_X, model.train_y)
     scores = positive_scores(model.matrix, train, rows)
     labels = (scores > args.threshold).astype(int)
@@ -154,18 +156,10 @@ def cmd_predict(args) -> int:
 def _read_feature_rows(path, feature_columns, id_column):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        _require_columns(reader, [*feature_columns, *([id_column] if id_column else [])])
         rows, ids = [], []
         for rownum, row in enumerate(reader, start=2):
-            feats = []
-            for col in feature_columns:
-                text = row.get(col)
-                try:
-                    feats.append(float(text))
-                except (TypeError, ValueError):
-                    raise ValidationError(
-                        f"row {rownum}, column {col!r}: cannot parse {text!r}"
-                    ) from None
-            rows.append(feats)
+            rows.append(_parse_numbers(row, feature_columns, rownum))
             ids.append(row[id_column] if id_column else str(rownum - 2))
     if not rows:
         raise ValidationError(f"{path}: no data rows")
@@ -177,9 +171,9 @@ def cmd_evaluate(args) -> int:
     data, _ = load_csv(args.data, schema)
     with open(args.pred, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "confidence" not in reader.fieldnames:
-            raise ValidationError(f"{args.pred}: missing 'confidence' column")
-        scores = [float(row["confidence"]) for row in reader]
+        _require_columns(reader, ["confidence"])
+        scores = [_parse_numbers(row, ["confidence"], rownum)[0]
+                  for rownum, row in enumerate(reader, start=2)]
     if len(scores) != data.n:
         raise ValidationError(
             f"prediction rows ({len(scores)}) do not match data rows ({data.n})"
@@ -205,8 +199,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = SynthConfig(**json.load(fh))
+        cfg = SynthConfig.from_dict(read_json_config(args.config, "synth config"))
     else:
         cfg = SynthConfig(
             n=args.n,

@@ -9,8 +9,9 @@ present or all absent.
 from __future__ import annotations
 
 import csv
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -20,6 +21,57 @@ from .errors import ValidationError
 # distinct RNG stream tags so equal seeds never alias across functions
 _SYNTH_STREAM = 1
 _SPLIT_STREAM = 2
+
+
+def read_json_config(path, what: str) -> dict:
+    """Parse a JSON config file; a syntax error is a ValidationError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"invalid {what}: {exc}") from None
+
+
+def check_config_keys(raw, required, optional, what: str):
+    """Require raw to be a JSON object holding every required key and no
+    key outside required and optional."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    missing = sorted(set(required) - set(raw))
+    if missing:
+        raise ValidationError(f"{what} is missing keys {missing}")
+    unknown = sorted(set(raw) - set(required) - set(optional))
+    if unknown:
+        raise ValidationError(f"{what} has unknown keys {unknown}")
+
+
+def _integers(*values) -> bool:
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               for v in values)
+
+
+def _require_columns(reader: csv.DictReader, columns):
+    missing = [c for c in columns if c not in (reader.fieldnames or [])]
+    if missing:
+        raise ValidationError(f"header is missing columns: {missing}")
+
+
+def _parse_numbers(row: dict, columns, rownum: int) -> list[float]:
+    """The named cells of one CSV row as finite floats; anything else is a
+    ValidationError naming the row, the column and the text."""
+    values = []
+    for col in columns:
+        text = row.get(col)
+        try:
+            v = float(text)
+        except (TypeError, ValueError):
+            v = math.nan
+        if not math.isfinite(v):
+            raise ValidationError(
+                f"row {rownum}, column {col!r}: {text!r} is not a finite number"
+            )
+        values.append(v)
+    return values
 
 
 @dataclass(frozen=True)
@@ -52,6 +104,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not _integers(self.n, self.m, self.m_informative, self.seed):
+            raise ValidationError("n, m, m_informative and seed must be integers")
         if not 1 <= self.m_informative <= self.m:
             raise ValidationError("m_informative must lie in [1, m]")
         if self.n < 4:
@@ -63,6 +117,16 @@ class SynthConfig:
         if self.confidence_noise < 0:
             raise ValidationError("confidence_noise must be nonnegative")
 
+    @classmethod
+    def from_dict(cls, raw, what: str = "synth config") -> "SynthConfig":
+        names = [f.name for f in fields(cls)]
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        check_config_keys(raw, required, names, what)
+        try:
+            return cls(**raw)
+        except TypeError as exc:  # e.g. a string where a number belongs
+            raise ValidationError(f"invalid {what}: {exc}") from None
+
 
 def load_csv(path, schema: DatasetSchema) -> tuple[Dataset, list[str] | None]:
     """Parse a CSV file against a schema.
@@ -73,32 +137,16 @@ def load_csv(path, schema: DatasetSchema) -> tuple[Dataset, list[str] | None]:
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
         needed = list(schema.feature_columns) + [schema.label_column]
         if schema.confidence_column is not None:
             needed.append(schema.confidence_column)
         if schema.id_column is not None:
             needed.append(schema.id_column)
-        missing = [c for c in needed if c not in header]
-        if missing:
-            raise ValidationError(f"header is missing columns: {missing}")
+        _require_columns(reader, needed)
 
         X_rows, labels, confs, ids = [], [], [], []
         for rownum, row in enumerate(reader, start=2):  # header is line 1
-            feats = []
-            for col in schema.feature_columns:
-                text = row[col]
-                try:
-                    v = float(text)
-                except (TypeError, ValueError):
-                    raise ValidationError(
-                        f"row {rownum}, column {col!r}: cannot parse {text!r} as a number"
-                    ) from None
-                if not math.isfinite(v):
-                    raise ValidationError(
-                        f"row {rownum}, column {col!r}: non-finite value {text!r}"
-                    )
-                feats.append(v)
+            feats = _parse_numbers(row, schema.feature_columns, rownum)
             text = row[schema.label_column]
             if text not in ("0", "1"):
                 raise ValidationError(
@@ -107,21 +155,15 @@ def load_csv(path, schema: DatasetSchema) -> tuple[Dataset, list[str] | None]:
                 )
             labels.append(int(text))
             if schema.confidence_column is not None:
-                text = row[schema.confidence_column]
-                if text == "" or text is None:
+                col = schema.confidence_column
+                if row[col] == "" or row[col] is None:
                     confs.append(None)
                 else:
-                    try:
-                        v = float(text)
-                    except ValueError:
-                        raise ValidationError(
-                            f"row {rownum}, column {schema.confidence_column!r}: "
-                            f"cannot parse {text!r} as a number"
-                        ) from None
+                    (v,) = _parse_numbers(row, [col], rownum)
                     if not 0.0 <= v <= 1.0:
                         raise ValidationError(
-                            f"row {rownum}, column {schema.confidence_column!r}: "
-                            f"confidence {text!r} outside [0, 1]"
+                            f"row {rownum}, column {col!r}: "
+                            f"confidence {row[col]!r} outside [0, 1]"
                         )
                     confs.append(v)
             if schema.id_column is not None:

@@ -6,22 +6,33 @@ larger ones) and every method, hyperparameters are grid-searched on
 validation AUROC and the winner is scored on the test set. Everything is
 deterministic in the config seed; result records are emitted in canonical
 (trial, train_size, method) order so repeated runs are byte-identical.
+
+Validation and test rows are scored by ``metric.positive_scores``, the
+package's one query scorer, which ``predict`` also uses.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import DatasetSchema, SynthConfig, load_csv, split, synth_generate
+from .data_io import (
+    DatasetSchema,
+    SynthConfig,
+    _integers,
+    check_config_keys,
+    load_csv,
+    read_json_config,
+    split,
+    synth_generate,
+)
 from .dataset import Dataset
 from .errors import ConfmetricError, ValidationError
 from .evaluate import auroc, row_rank, sparsity
-from .metric import kernel_matrix
+from .metric import positive_scores
 from .optimize import TrainConfig, fit
 
 METHODS = ("camel", "camel_cl")
@@ -42,6 +53,12 @@ class ExperimentConfig:
     max_iters: int = 500
 
     def __post_init__(self):
+        if not _integers(self.trials, self.seed, self.max_iters, *self.train_sizes):
+            raise ValidationError(
+                "trials, train_sizes, seed and max_iters must be integers"
+            )
+        if self.proj_dim is not None and not _integers(self.proj_dim):
+            raise ValidationError("proj_dim must be an integer")
         if self.trials < 1:
             raise ValidationError("trials must be positive")
         if not self.train_sizes or sorted(self.train_sizes) != list(self.train_sizes):
@@ -56,34 +73,46 @@ class ExperimentConfig:
             raise ValidationError("exactly one data source (synth or csv) is required")
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        grid = raw.get("hyper_grid", {})
-        synth = csv_path = csv_schema = None
-        data = raw.get("data", {})
-        if "synth" in data:
-            synth = SynthConfig(**data["synth"])
-        elif "csv" in data:
-            src = dict(data["csv"])
-            csv_path = src.pop("path")
-            csv_schema = DatasetSchema(
-                feature_columns=src["feature_columns"],
-                label_column=src["label_column"],
-                confidence_column=src.get("confidence_column"),
-                id_column=src.get("id_column"),
+    def from_dict(cls, raw) -> "ExperimentConfig":
+        check_config_keys(raw, ("trials", "train_sizes", "data"),
+                          ("hyper_grid", "methods", "seed", "proj_dim", "max_iters"),
+                          "experiment config")
+        try:
+            grid = raw.get("hyper_grid", {})
+            check_config_keys(grid, (), ("lambda1", "lambda2"), "hyper_grid")
+            data = raw["data"]
+            check_config_keys(data, (), ("synth", "csv"), "data")
+            synth = csv_path = csv_schema = None
+            if "synth" in data:
+                synth = SynthConfig.from_dict(data["synth"], "data.synth")
+            if "csv" in data:
+                src = data["csv"]
+                check_config_keys(src, ("path", "feature_columns", "label_column"),
+                                  ("confidence_column", "id_column"), "data.csv")
+                csv_path = src["path"]
+                csv_schema = DatasetSchema(
+                    feature_columns=list(src["feature_columns"]),
+                    label_column=src["label_column"],
+                    confidence_column=src.get("confidence_column"),
+                    id_column=src.get("id_column"),
+                )
+            return cls(
+                trials=raw["trials"],
+                train_sizes=list(raw["train_sizes"]),
+                lambda1_grid=[float(v) for v in grid.get("lambda1", [])],
+                lambda2_grid=[float(v) for v in grid.get("lambda2", [])],
+                methods=list(raw.get("methods", list(METHODS))),
+                seed=raw.get("seed", 0),
+                synth=synth,
+                csv_path=csv_path,
+                csv_schema=csv_schema,
+                proj_dim=raw.get("proj_dim"),
+                max_iters=raw.get("max_iters", 500),
             )
-        return cls(
-            trials=raw["trials"],
-            train_sizes=list(raw["train_sizes"]),
-            lambda1_grid=[float(v) for v in grid.get("lambda1", [])],
-            lambda2_grid=[float(v) for v in grid.get("lambda2", [])],
-            methods=list(raw.get("methods", list(METHODS))),
-            seed=raw.get("seed", 0),
-            synth=synth,
-            csv_path=csv_path,
-            csv_schema=csv_schema,
-            proj_dim=raw.get("proj_dim"),
-            max_iters=raw.get("max_iters", 500),
-        )
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:  # e.g. a string where a list belongs
+            raise ValidationError(f"invalid experiment config: {exc}") from None
 
 
 @dataclass
@@ -104,20 +133,6 @@ RESULT_FIELDS = [
     "trial", "train_size", "method", "lambda1", "lambda2",
     "val_auroc", "test_auroc", "sparsity", "row_rank", "error",
 ]
-
-
-def positive_scores(L, train: Dataset, X) -> np.ndarray:
-    """Positive-class confidence score for each row of X against a train set.
-
-    Rows whose similarities to both classes underflow to zero score 0.5.
-    """
-    K = kernel_matrix(L, train.X, Q=np.atleast_2d(X))
-    s1 = K[:, train.y == 1].mean(axis=1)
-    s0 = K[:, train.y == 0].mean(axis=1)
-    total = s0 + s1
-    out = np.full(total.shape, 0.5)
-    np.divide(s1, total, out=out, where=total > 0)
-    return out
 
 
 def grid_cells(method: str, cfg: ExperimentConfig):
@@ -242,9 +257,4 @@ def write_summary_csv(path, rows: list[dict]):
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid experiment config: {exc}") from None
-    return ExperimentConfig.from_dict(raw)
+    return ExperimentConfig.from_dict(read_json_config(path, "experiment config"))

@@ -6,6 +6,9 @@ through L, which makes the implied quadratic form L^T L positive
 semidefinite by construction. Similarity is the Gaussian kernel of that
 distance with bandwidth absorbed into the scale of L.
 
+``positive_scores`` is the one query scorer: ``predict``, the experiment
+harness and the CLI all call it.
+
 All functions here are pure and thread-safe.
 """
 
@@ -114,8 +117,7 @@ def _class_references(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     n0, n1 = data.class_counts()
     if n0 < 1 or n1 < 1 or data.n < 2:
         raise DegenerateClassError("each class needs at least one reference instance")
-    onehot = np.zeros((data.n, 2))
-    onehot[np.arange(data.n), data.y] = 1.0
+    onehot = np.eye(2)[data.y]
     counts = np.array([n0, n1], dtype=np.float64)[None, :] - onehot
     if np.any(counts[np.arange(data.n), data.y] < 1):
         raise DegenerateClassError("a class has no reference instances besides self")
@@ -142,18 +144,6 @@ def class_similarity(L, data: Dataset, i: int, y: int) -> float:
     return float(K.mean())
 
 
-def class_similarity_query(L, data: Dataset, q, y: int) -> float:
-    """Mean similarity of an unobserved query to all label-y instances.
-
-    No self-exclusion applies: q is not part of the training set.
-    """
-    mask = data.y == y
-    if not mask.any():
-        raise DegenerateClassError(f"no training instances of class {y}")
-    K = kernel_matrix(L, data.X[mask], Q=q)
-    return float(K.mean())
-
-
 def confidence_score(s_y: float, s_not_y: float) -> float:
     """Class confidence s_y / (s_y + s_not_y).
 
@@ -174,18 +164,39 @@ def confidence_score(s_y: float, s_not_y: float) -> float:
     return s_y / total
 
 
+def positive_scores(L, train: Dataset, X) -> np.ndarray:
+    """Confidence s1 / (s0 + s1) in class 1 for each row of X, where s_y is
+    the row's mean similarity to the label-y rows of train (no self-exclusion).
+
+    Raises DegenerateClassError if train lacks a class. Rows with s0 = s1 = 0
+    (underflow) score 0.5, and one DegenerateScoreWarning counts them.
+    """
+    n0, n1 = train.class_counts()
+    if n0 < 1 or n1 < 1:
+        raise DegenerateClassError(f"no training instances of class {int(n0 >= 1)}")
+    S = kernel_matrix(L, train.X, Q=np.atleast_2d(X)) @ np.eye(2)[train.y]
+    S /= np.array([n0, n1], dtype=np.float64)
+    total = S[:, 0] + S[:, 1]
+    scores = np.full(total.shape, 0.5)
+    np.divide(S[:, 1], total, out=scores, where=total > 0.0)
+    degenerate = np.count_nonzero(total == 0.0)
+    if degenerate:
+        msg = (f"{degenerate} of {total.size} rows scored 0.5: both class "
+               "similarities underflowed to zero")
+        warnings.warn(msg, DegenerateScoreWarning, stacklevel=2)
+    return scores
+
+
 class Prediction(NamedTuple):
     label: int
     confidence: float
 
 
 def predict(L, train: Dataset, q, threshold: float = 0.5) -> Prediction:
-    """Threshold the positive-class confidence score of a query.
+    """Threshold the positive-class confidence score of one query.
 
     Returns label 1 iff the confidence score for class 1 strictly exceeds
     the threshold, together with the score itself.
     """
-    s1 = class_similarity_query(L, train, q, 1)
-    s0 = class_similarity_query(L, train, q, 0)
-    c1 = confidence_score(s1, s0)
+    c1 = float(positive_scores(L, train, np.reshape(q, (1, -1)))[0])
     return Prediction(label=int(c1 > threshold), confidence=c1)

@@ -76,11 +76,18 @@ def save_model(path, model: ModelFile):
 
 
 def load_model(path) -> ModelFile:
+    """Read a model file, checking that its arrays fit its feature columns.
+
+    Any fault in the file is a ValidationError. Finiteness and label values
+    are left to the Dataset that scoring builds from the arrays.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"corrupt model file: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValidationError("corrupt model file: not a JSON object")
     try:
         if payload["format_version"] != FORMAT_VERSION:
             raise ValidationError(
@@ -88,13 +95,45 @@ def load_model(path) -> ModelFile:
             )
         train_X = payload.get("train_X")
         train_y = payload.get("train_y")
-        return ModelFile(
+        model = ModelFile(
             matrix=np.array(payload["matrix"], dtype=np.float64),
-            feature_columns=list(payload["feature_columns"]),
+            feature_columns=[str(c) for c in payload["feature_columns"]],
             train_config=dict(payload["train_config"]),
             fingerprint=payload["fingerprint"],
             train_X=None if train_X is None else np.array(train_X, dtype=np.float64),
-            train_y=None if train_y is None else np.array(train_y, dtype=np.int64),
+            train_y=None if train_y is None else np.array(train_y),
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValidationError(f"corrupt model file: missing field {exc}") from None
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:  # e.g. a ragged matrix
+        raise ValidationError(f"corrupt model file: {exc}") from None
+    _check_shapes(model)
+    return model
+
+
+def _check_shapes(model: ModelFile):
+    m = len(model.feature_columns)
+    L = model.matrix
+    if L.ndim != 2 or L.shape[0] < 1 or L.shape[1] != m:
+        raise ValidationError(
+            f"corrupt model file: matrix has shape {L.shape}, expected (k, {m})"
+        )
+    if model.fingerprint != schema_fingerprint(model.feature_columns):
+        raise ValidationError(
+            "corrupt model file: fingerprint does not match feature_columns"
+        )
+    X, y = model.train_X, model.train_y
+    if (X is None) != (y is None):
+        raise ValidationError("corrupt model file: train_X and train_y come together")
+    if X is None:
+        return
+    if X.ndim != 2 or X.shape[1] != m:
+        raise ValidationError(
+            f"corrupt model file: train_X has shape {X.shape}, expected (n, {m})"
+        )
+    if y.shape != (X.shape[0],) or (y.size and y.dtype.kind not in "iu"):
+        raise ValidationError(
+            f"corrupt model file: train_y must hold {X.shape[0]} integer labels"
+        )

@@ -25,6 +25,7 @@ proximal step. At exact hinge kinks the subgradient 0 is used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,17 +43,10 @@ from .metric import (
     similarity_scores,
 )
 
+if TYPE_CHECKING:  # optimize imports this module
+    from .optimize import TrainConfig
+
 _PAIR_STREAM = 4  # keeps equal seeds from aliasing other RNG consumers
-
-
-@dataclass(frozen=True)
-class ObjectiveConfig:
-    lambda1: float = 0.0
-    lambda2: float = 0.0
-
-    def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValidationError("regularization weights must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -219,14 +213,17 @@ class Objective:
 
 
 def camel_cl_loss(
-    L, data: Dataset, cfg: ObjectiveConfig, pairs: RankingPairs
+    L, data: Dataset, cfg: TrainConfig, pairs: RankingPairs
 ) -> LossBreakdown:
-    """Class-label loss plus L1 plus the hinge ranking penalty."""
+    """Class-label loss plus L1 plus the hinge ranking penalty.
+
+    Only cfg.lambda1 and cfg.lambda2 are read.
+    """
     return Objective(data, pairs, cfg.lambda1, cfg.lambda2).value(L)[0]
 
 
 def smooth_gradient(
-    L, data: Dataset, cfg: ObjectiveConfig, pairs: RankingPairs
+    L, data: Dataset, cfg: TrainConfig, pairs: RankingPairs
 ) -> np.ndarray:
     """Gradient of the smooth loss terms (push/pull + ranking) in L."""
     objective = Objective(data, pairs, cfg.lambda1, cfg.lambda2)

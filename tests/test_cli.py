@@ -1,10 +1,11 @@
 import csv
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from confmetric import ExperimentConfig, SynthConfig, run_experiment
+from confmetric import ExperimentConfig, SynthConfig, ValidationError, run_experiment
 from confmetric.cli import main
 
 
@@ -129,6 +130,28 @@ class TestTrainPredictEvaluate:
         assert code == 1
         assert json.loads(err)["error"] == "schema-mismatch"
 
+    def test_predict_honours_features(self, tmp_path, capsys):
+        data = make_data(tmp_path, capsys)
+        model = tmp_path / "m.json"
+        code, _, _ = run(
+            capsys, "train", "--data", str(data), "--features", "f0,f1",
+            "--max-iters", "5", "--out", str(model), "--trace", str(tmp_path / "t.csv"),
+        )
+        assert code == 0
+        preds = tmp_path / "p.csv"
+        code, out, err = run(
+            capsys, "predict", "--model", str(model), "--data", str(data),
+            "--features", "f0,f1", "--out", str(preds),
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n"] == 60
+        code, out, _ = run(
+            capsys, "evaluate", "--pred", str(preds), "--data", str(data),
+            "--features", "f0,f1", "--confidence", "confidence",
+        )
+        assert code == 0
+        assert json.loads(out)["auroc"] > 0.8
+
     def test_missing_file_reports_io_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "train", "--data", str(tmp_path / "nope.csv"),
@@ -136,6 +159,112 @@ class TestTrainPredictEvaluate:
         )
         assert code == 1
         assert json.loads(err)["error"] == "io"
+
+
+def trained_model(tmp_path, capsys):
+    data = make_data(tmp_path, capsys)
+    model = tmp_path / "m.json"
+    code, _, _ = run(
+        capsys, "train", "--data", str(data), "--confidence", "confidence",
+        "--max-iters", "3", "--out", str(model), "--trace", str(tmp_path / "t.csv"),
+    )
+    assert code == 0
+    return data, model
+
+
+def edit_json(path, **changes):
+    raw = json.loads(path.read_text())
+    raw.update(changes)
+    path.write_text(json.dumps(raw))
+
+
+def probe_non_finite_feature(text, tmp_path, capsys):
+    data, model = trained_model(tmp_path, capsys)
+    header, first, *rest = data.read_text().splitlines()
+    first = ",".join([text] + first.split(",")[1:])
+    data.write_text("\n".join([header, first, *rest]) + "\n")
+    return ["predict", "--model", str(model), "--data", str(data),
+            "--confidence", "confidence", "--out", str(tmp_path / "out.csv")]
+
+
+def probe_model_edit(tmp_path, capsys, **changes):
+    data, model = trained_model(tmp_path, capsys)
+    raw = json.loads(model.read_text())
+    edit_json(model, **{k: v(raw) for k, v in changes.items()})
+    return ["predict", "--model", str(model), "--data", str(data),
+            "--confidence", "confidence", "--out", str(tmp_path / "out.csv")]
+
+
+def probe_bad_confidence(tmp_path, capsys):
+    data = make_data(tmp_path, capsys)
+    preds = tmp_path / "p.csv"
+    rows = ["id,confidence,label"] + [f"{i},0.5,0" for i in range(60)]
+    rows[5] = "4,abc,0"
+    preds.write_text("\n".join(rows) + "\n")
+    return ["evaluate", "--pred", str(preds), "--data", str(data),
+            "--confidence", "confidence"]
+
+
+def probe_synth_config(raw, tmp_path, capsys):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(raw))
+    return ["synth", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+
+
+def probe_experiment(drop, tmp_path, capsys, **overrides):
+    cfg = experiment_config(tmp_path, **overrides)
+    raw = json.loads(cfg.read_text())
+    for key in drop:
+        del raw[key]
+    cfg.write_text(json.dumps(raw))
+    return ["experiment", "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
+            "--summary", str(tmp_path / "summary.csv")]
+
+
+MALFORMED_INPUTS = {
+    "nan-feature": (functools.partial(probe_non_finite_feature, "nan"), "validation"),
+    "inf-feature": (functools.partial(probe_non_finite_feature, "inf"), "validation"),
+    "single-class-model": (
+        functools.partial(probe_model_edit, train_y=lambda m: [1] * len(m["train_y"])),
+        "degenerate-class",
+    ),
+    "ragged-matrix": (
+        functools.partial(probe_model_edit, matrix=lambda m: [m["matrix"][0], [1.0]]),
+        "validation",
+    ),
+    "short-train-y": (
+        functools.partial(probe_model_edit, train_y=lambda m: m["train_y"][1:]),
+        "validation",
+    ),
+    "non-numeric-confidence": (probe_bad_confidence, "validation"),
+    "unknown-synth-key": (
+        functools.partial(probe_synth_config, {"n": 20, "m": 3, "m_informative": 1,
+                                               "bogus": 1}),
+        "validation",
+    ),
+    "synth-config-not-object": (
+        functools.partial(probe_synth_config, [20, 3, 1]), "validation",
+    ),
+    "experiment-without-trials": (
+        functools.partial(probe_experiment, ["trials"]), "validation",
+    ),
+    "experiment-unknown-key": (
+        functools.partial(probe_experiment, [], max_iter=3), "validation",
+    ),
+}
+
+
+@pytest.mark.parametrize("probe, error", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS)
+def test_malformed_input_is_one_json_error(tmp_path, capsys, probe, error):
+    argv = probe(tmp_path, capsys)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+    assert not (tmp_path / "out.csv").exists()
 
 
 class TestInspect:
@@ -250,6 +379,25 @@ class TestExperiment:
             assert a.test_auroc == b.test_auroc
             assert a.sparsity == b.sparsity
             assert a.lambda1 == b.lambda1
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda r: r.pop("train_sizes"), r"missing keys \['train_sizes'\]"),
+        (lambda r: r.update(max_iter=3), r"unknown keys \['max_iter'\]"),
+        (lambda r: r["hyper_grid"].update(lambda3=[1.0]), "hyper_grid has unknown"),
+        (lambda r: r.update(data={"synth": {"n": 120, "m": 5}}), "data.synth is missing"),
+        (lambda r: r.update(data={"csv": {"path": "x.csv"}}), "data.csv is missing"),
+        (lambda r: r["data"].update(csv={"path": "x.csv", "feature_columns": ["f0"],
+                                         "label_column": "label"}), "exactly one"),
+        (lambda r: r.update(trials="2"), "must be integers"),
+        (lambda r: r.update(train_sizes=15), "invalid experiment config"),
+        (lambda r: r["hyper_grid"].update(lambda1=["big"]), "invalid experiment config"),
+    ], ids=["no-train-sizes", "max-iter-typo", "grid-key", "synth-keys", "csv-keys",
+            "two-sources", "string-trials", "int-train-sizes", "string-lambda"])
+    def test_config_dict_rejected(self, tmp_path, edit, match):
+        raw = json.loads(experiment_config(tmp_path).read_text())
+        edit(raw)
+        with pytest.raises(ValidationError, match=match):
+            ExperimentConfig.from_dict(raw)
 
     def test_invalid_config_rejected(self, tmp_path, capsys):
         cfg = experiment_config(tmp_path, trials=0)

@@ -171,6 +171,22 @@ class TestSynthGenerate:
         with pytest.raises(ValidationError):
             synth_generate(SynthConfig(n=10, m=2, m_informative=1, class_balance=0.05))
 
+    def test_from_dict(self):
+        raw = {"n": 20, "m": 3, "m_informative": 1, "seed": 2}
+        assert SynthConfig.from_dict(raw) == SynthConfig(n=20, m=3, m_informative=1, seed=2)
+
+    @pytest.mark.parametrize("raw, match", [
+        ([20, 3, 1], "must be a JSON object"),
+        ({"n": 20, "m": 3}, r"missing keys \['m_informative'\]"),
+        ({"n": 20, "m": 3, "m_informative": 1, "noise": 0.1}, r"unknown keys \['noise'\]"),
+        ({"n": "20", "m": 3, "m_informative": 1}, "must be integers"),
+        ({"n": 20.5, "m": 3, "m_informative": 1}, "must be integers"),
+        ({"n": 20, "m": 3, "m_informative": 1, "class_balance": "x"}, "invalid synth"),
+    ])
+    def test_from_dict_rejects(self, raw, match):
+        with pytest.raises(ValidationError, match=match):
+            SynthConfig.from_dict(raw)
+
 
 class TestSplit:
     def make(self, n=10):

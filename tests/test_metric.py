@@ -9,10 +9,10 @@ from confmetric import (
     DegenerateScoreWarning,
     DimensionMismatchError,
     class_similarity,
-    class_similarity_query,
     confidence_score,
     kernel_matrix,
     kernel_similarity,
+    positive_scores,
     predict,
     similarity_scores,
     squared_distance,
@@ -134,31 +134,56 @@ class TestKernelMatrix:
 
 
 class TestClassSimilarityQuery:
+    """The per-class query means, read through positive_scores' s1 / (s0 + s1)."""
+
     def test_identical_to_sole_instance(self):
-        data = Dataset(np.array([[3.0], [0.0]]), [1, 0])
-        assert class_similarity_query(np.eye(1), data, [3.0], 1) == 1.0
+        # s1 = exp(0) = 1 exactly and s0 = exp(-1), so any other s1 moves the score
+        data = Dataset(np.array([[3.0], [4.0]]), [1, 0])
+        score = positive_scores(np.eye(1), data, [3.0])[0]
+        assert score == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), rel=1e-15)
+        assert kernel_matrix(np.eye(1), data.X[data.y == 1], Q=[[3.0]]).mean() == 1.0
 
     def test_underflow_to_zero(self):
-        data = Dataset(np.array([[1e6], [2e6]]), [1, 1])
-        assert class_similarity_query(np.eye(1), data, [0.0], 1) == 0.0
+        data = Dataset(np.array([[1e6], [0.0]]), [1, 0])
+        assert positive_scores(np.eye(1), data, [0.0]).tolist() == [0.0]
+        far = Dataset(np.array([[1e6], [2e6]]), [1, 0])
+        with pytest.warns(DegenerateScoreWarning, match="1 of 2 rows"):
+            scores = positive_scores(np.eye(1), far, [[0.0], [1e6]])
+        assert scores.tolist() == [0.5, 1.0]
 
     def test_mean_of_three_kernels(self):
-        ds = [-math.log(0.5), -math.log(0.1), -math.log(0.3)]
+        ds = [-math.log(0.5), -math.log(0.1), -math.log(0.3), -math.log(0.1)]
         X = np.array([[math.sqrt(d)] for d in ds])
-        data = Dataset(X, [1, 1, 1])
-        s = class_similarity_query(np.eye(1), data, [0.0], 1)
-        assert s == pytest.approx(0.3)
+        data = Dataset(X, [1, 1, 1, 0])
+        # s1 = mean(0.5, 0.1, 0.3) = 0.3 and s0 = 0.1
+        assert positive_scores(np.eye(1), data, [0.0])[0] == pytest.approx(0.75)
 
     def test_no_self_exclusion_for_queries(self):
         # querying a training point includes its own unit kernel in the mean
-        data = Dataset(np.array([[0.0], [2.0], [9.0]]), [1, 1, 0])
-        s = class_similarity_query(np.eye(1), data, [0.0], 1)
-        assert s == pytest.approx((1.0 + math.exp(-4.0)) / 2)
+        data = Dataset(np.array([[0.0], [2.0], [1.0]]), [1, 1, 0])
+        s1 = (1.0 + math.exp(-4.0)) / 2
+        s0 = math.exp(-1.0)
+        score = positive_scores(np.eye(1), data, [0.0])[0]
+        assert score == pytest.approx(s1 / (s1 + s0), rel=1e-12)
 
     def test_missing_class(self):
-        data = Dataset(np.array([[0.0], [1.0]]), [1, 1])
-        with pytest.raises(DegenerateClassError):
-            class_similarity_query(np.eye(1), data, [0.0], 0)
+        for y in ([1, 1], [0, 0]):
+            data = Dataset(np.array([[0.0], [1.0]]), y)
+            with pytest.raises(DegenerateClassError):
+                positive_scores(np.eye(1), data, [0.0])
+
+    def test_matches_scalar_definitions(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(15, 3))
+        y = rng.integers(0, 2, size=15)
+        y[:2] = [0, 1]
+        data = Dataset(X, y)
+        L = rng.normal(size=(2, 3))
+        Q = rng.normal(size=(6, 3))
+        scores = positive_scores(L, data, Q)
+        for q, score in zip(Q, scores):
+            s = [np.mean([kernel_similarity(L, q, x) for x in X[y == c]]) for c in (0, 1)]
+            assert score == pytest.approx(confidence_score(s[1], s[0]), rel=1e-12)
 
 
 class TestConfidenceScore:

@@ -76,3 +76,29 @@ class TestCorruptFiles:
         p.write_text(json.dumps({"format_version": 99}))
         with pytest.raises(ValidationError, match="version"):
             load_model(p)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda p: p.update(matrix=[[1.0, 2.0, 3.0, 4.0], [1.0]]), "inhomogeneous"),
+        (lambda p: p.update(matrix=[[1.0, 2.0, 3.0]]), r"matrix has shape \(1, 3\)"),
+        (lambda p: p.update(fingerprint="0" * 16), "fingerprint"),
+        (lambda p: p.update(feature_columns=["a", "b", "c", "e"]), "fingerprint"),
+        (lambda p: p.update(train_X=[[0.0] * 3] * 6), r"train_X has shape \(6, 3\)"),
+        (lambda p: p.update(train_y=[0, 1]), "6 integer labels"),
+        (lambda p: p.update(train_y=[0.5] * 6), "6 integer labels"),
+        (lambda p: p.pop("train_y"), "come together"),
+    ], ids=["ragged", "columns", "fingerprint", "renamed", "train-X", "train-y-length",
+            "train-y-float", "train-y-missing"])
+    def test_shape_and_fingerprint_checks(self, tmp_path, edit, match):
+        path = tmp_path / "m.json"
+        save_model(path, sample_model(np.random.default_rng(2)))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=match):
+            load_model(path)
+
+    def test_not_an_object(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text("[1, 2]")
+        with pytest.raises(ValidationError, match="not a JSON object"):
+            load_model(p)

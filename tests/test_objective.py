@@ -7,8 +7,8 @@ from confmetric import (
     Dataset,
     DimensionMismatchError,
     MissingSupervisionError,
-    ObjectiveConfig,
     RankingPairs,
+    TrainConfig,
     build_ranking_pairs,
     camel_cl_loss,
     camel_loss,
@@ -160,7 +160,7 @@ class TestCamelClLoss:
         for _ in range(10):
             data = random_dataset(rng)
             L = rng.normal(size=(3, 3))
-            cfg = ObjectiveConfig(lambda1=0.4, lambda2=0.0)
+            cfg = TrainConfig(lambda1=0.4, lambda2=0.0)
             pairs = build_ranking_pairs(data.y, data.c)
             lb = camel_cl_loss(L, data, cfg, pairs)
             assert lb.total == camel_loss(L, data, 0.4).total
@@ -177,7 +177,7 @@ class TestCamelClLoss:
             if a != b and data.y[a] == data.y[b] and margins[a] > margins[b]
         ]
         a, b = same[0]
-        cfg = ObjectiveConfig(lambda1=0.0, lambda2=3.0)
+        cfg = TrainConfig(lambda1=0.0, lambda2=3.0)
         lb = camel_cl_loss(L, data, cfg, RankingPairs(np.array([[a, b]])))
         assert lb.ranking == 0.0
 
@@ -193,7 +193,7 @@ class TestCamelClLoss:
             if a != b and data.y[a] == data.y[b] and margins[a] < margins[b]
         ]
         a, b = viol[0]
-        cfg = ObjectiveConfig(lambda1=0.0, lambda2=2.0)
+        cfg = TrainConfig(lambda1=0.0, lambda2=2.0)
         lb = camel_cl_loss(L, data, cfg, RankingPairs(np.array([[a, b]])))
         assert lb.ranking == pytest.approx(2.0 * (margins[b] - margins[a]), rel=1e-10)
         assert lb.ranking >= 0.0
@@ -201,7 +201,7 @@ class TestCamelClLoss:
     def test_pair_index_out_of_range(self):
         rng = np.random.default_rng(8)
         data = random_dataset(rng)
-        cfg = ObjectiveConfig(lambda1=0.0, lambda2=1.0)
+        cfg = TrainConfig(lambda1=0.0, lambda2=1.0)
         with pytest.raises(DimensionMismatchError):
             camel_cl_loss(np.eye(3), data, cfg, RankingPairs(np.array([[0, 99]])))
 
@@ -209,7 +209,7 @@ class TestCamelClLoss:
         rng = np.random.default_rng(9)
         data = random_dataset(rng, n=10)
         L = rng.normal(size=(3, 3))
-        cfg = ObjectiveConfig(lambda1=0.3, lambda2=1.5)
+        cfg = TrainConfig(lambda1=0.3, lambda2=1.5)
         pairs = build_ranking_pairs(data.y, data.c)
         lb = camel_cl_loss(L, data, cfg, pairs)
         perm = rng.permutation(data.n)
@@ -254,7 +254,7 @@ class TestSmoothGradient:
     def test_zero_matrix_is_stationary(self):
         rng = np.random.default_rng(10)
         data = random_dataset(rng)
-        cfg = ObjectiveConfig(lambda2=1.0)
+        cfg = TrainConfig(lambda2=1.0)
         pairs = build_ranking_pairs(data.y, data.c)
         g = smooth_gradient(np.zeros((3, 3)), data, cfg, pairs)
         assert np.all(g == 0.0)
@@ -269,7 +269,7 @@ class TestSmoothGradient:
             data = random_dataset(rng, n=n, m=m)
             L = rng.normal(size=(mp, m)) * 0.6
             lam2 = float(rng.choice([0.0, 1.0]))
-            cfg = ObjectiveConfig(lambda1=0.3, lambda2=lam2)
+            cfg = TrainConfig(lambda1=0.3, lambda2=lam2)
             pairs = build_ranking_pairs(data.y, data.c) if lam2 > 0 else RankingPairs()
             if hinge_near_kink(L, data, pairs):
                 continue
@@ -284,8 +284,8 @@ class TestSmoothGradient:
         data = random_dataset(rng)
         L = rng.normal(size=(3, 3))
         pairs = build_ranking_pairs(data.y, data.c)
-        g_with = smooth_gradient(L, data, ObjectiveConfig(lambda2=0.0), pairs)
-        g_without = smooth_gradient(L, data, ObjectiveConfig(lambda2=0.0), RankingPairs())
+        g_with = smooth_gradient(L, data, TrainConfig(lambda2=0.0), pairs)
+        g_without = smooth_gradient(L, data, TrainConfig(lambda2=0.0), RankingPairs())
         assert np.array_equal(g_with, g_without)
 
 
@@ -333,7 +333,7 @@ class TestObjective:
             for _ in range(3):
                 L = rng.normal(size=(int(rng.integers(1, 4)), 3))
                 loss, cache = objective.value(L)
-                cfg = ObjectiveConfig(lambda1=0.3, lambda2=lambda2)
+                cfg = TrainConfig(lambda1=0.3, lambda2=lambda2)
                 assert loss == camel_cl_loss(L, data, cfg, pairs)
                 base = camel_loss(L, data, 0.3)
                 assert (loss.pushpull, loss.l1) == (base.pushpull, base.l1)
@@ -356,5 +356,5 @@ class TestObjective:
                 g = objective.gradient(L, objective.value(L)[1])
                 ref = dense_gradient(L, data, lambda2, pairs)
                 assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
-                cfg = ObjectiveConfig(lambda1=0.3, lambda2=lambda2)
+                cfg = TrainConfig(lambda1=0.3, lambda2=lambda2)
                 assert np.array_equal(g, smooth_gradient(L, data, cfg, pairs))

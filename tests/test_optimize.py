@@ -7,7 +7,6 @@ from confmetric import (
     DegenerateClassError,
     FixedStep,
     MissingSupervisionError,
-    ObjectiveConfig,
     RankingPairs,
     ScaledIdentityInit,
     SeededGaussianInit,
@@ -146,7 +145,7 @@ class TestFit:
 
         pairs = build_ranking_pairs(data.y, data.c)
         lb = camel_cl_loss(
-            L, data, ObjectiveConfig(lambda1=0.2, lambda2=0.8), pairs
+            L, data, TrainConfig(lambda1=0.2, lambda2=0.8), pairs
         )
         assert trace.records[-1].total == pytest.approx(lb.total, rel=1e-10)
 
