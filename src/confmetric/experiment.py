@@ -71,6 +71,18 @@ class ExperimentConfig:
             raise ValidationError("lambda2 grid must be nonempty for camel_cl")
         if (self.synth is None) == (self.csv_path is None):
             raise ValidationError("exactly one data source (synth or csv) is required")
+        for method in self.methods:  # TrainConfig validates each grid cell
+            self.train_configs(method, self.seed)
+
+    def train_configs(self, method: str, seed: int) -> list[TrainConfig]:
+        """One TrainConfig per hyperparameter cell of a method, in declaration
+        order; camel ignores the lambda2 grid and trains with lambda2 = 0."""
+        lambda2_grid = self.lambda2_grid if method == "camel_cl" else [0.0]
+        return [
+            TrainConfig(lambda1=l1, lambda2=l2, proj_dim=self.proj_dim,
+                        max_iters=self.max_iters, seed=seed)
+            for l1 in self.lambda1_grid for l2 in lambda2_grid
+        ]
 
     @classmethod
     def from_dict(cls, raw) -> "ExperimentConfig":
@@ -135,13 +147,6 @@ RESULT_FIELDS = [
 ]
 
 
-def grid_cells(method: str, cfg: ExperimentConfig):
-    """Hyperparameter grid for a method, in declaration order."""
-    if method == "camel":
-        return [(l1, 0.0) for l1 in cfg.lambda1_grid]
-    return [(l1, l2) for l1 in cfg.lambda1_grid for l2 in cfg.lambda2_grid]
-
-
 def _load_experiment_data(cfg: ExperimentConfig) -> Dataset:
     if cfg.synth is not None:
         data, _ = synth_generate(cfg.synth)
@@ -177,18 +182,11 @@ def _run_cell(cfg, rec, train, val, test, trial_seed) -> ResultRecord:
     use_conf = rec.method == "camel_cl"
     train_data = train if use_conf else train.without_confidences()
     best = None  # (val_auroc, L, l1, l2); first cell wins ties
-    for l1, l2 in grid_cells(rec.method, cfg):
-        tc = TrainConfig(
-            lambda1=l1,
-            lambda2=l2 if use_conf else 0.0,
-            proj_dim=cfg.proj_dim,
-            max_iters=cfg.max_iters,
-            seed=trial_seed,
-        )
+    for tc in cfg.train_configs(rec.method, trial_seed):
         L, _ = fit(train_data, tc)
         val_auc = auroc(positive_scores(L, train_data, val.X), val.y)
         if best is None or val_auc > best[0]:
-            best = (val_auc, L, l1, l2)
+            best = (val_auc, L, tc.lambda1, tc.lambda2)
     val_auc, L, l1, l2 = best
     rec.lambda1, rec.lambda2 = l1, l2
     rec.val_auroc = val_auc

@@ -105,7 +105,7 @@ def similarity_scores(L, data: Dataset) -> np.ndarray:
     Raises DegenerateClassError if any required reference set is empty.
     """
     onehot, counts = _class_references(data)
-    return _class_scores(kernel_matrix(L, data.X), data.y, onehot, counts)
+    return _class_scores(kernel_matrix(L, data.X), onehot, counts)
 
 
 def _class_references(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -124,12 +124,13 @@ def _class_references(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return onehot, counts
 
 
-def _class_scores(K, y, onehot, counts) -> np.ndarray:
-    """Class similarity scores from the symmetric unit-diagonal kernel K."""
-    sums = K @ onehot
-    # remove the unit self-similarity from each instance's own-class sum
-    sums[np.arange(len(y)), y] -= 1.0
-    return sums / counts
+def _class_scores(K, onehot, counts) -> np.ndarray:
+    """Class similarity scores from the symmetric (n, n) kernel K.
+
+    Overwrites K's diagonal with 0: an instance is not its own reference.
+    """
+    np.fill_diagonal(K, 0.0)
+    return (K @ onehot) / counts
 
 
 def class_similarity(L, data: Dataset, i: int, y: int) -> float:

@@ -8,8 +8,9 @@ labeler was more confident about above the margin of instances she was less
 confident about, within each class.
 
 ``Objective`` evaluates the ranking variant on one dataset. What depends
-only on the data (the class-structure matrix, the class reference counts,
-the ranking pairs and the weights) is built once, when it is constructed.
+only on the data (the one-hot labels, the class reference counts, the
+ranking pairs and the weights) is built once, when it is constructed; the
+class structure is kept at n x 2, so none of it is n x n.
 ``Objective.value(L)`` computes one n x n kernel matrix and returns the loss
 together with an ``ObjectiveCache`` holding that kernel and the per-instance
 margins; ``Objective.gradient(L, cache)`` reuses both, so the loss and the
@@ -128,7 +129,7 @@ def camel_loss(L, data: Dataset, lambda1: float) -> LossBreakdown:
 class ObjectiveCache:
     """What ``Objective.value`` computed at one L, for ``gradient`` at that L."""
 
-    kernel: np.ndarray  # (n, n) Gaussian kernel over the training rows
+    kernel: np.ndarray  # (n, n) Gaussian kernel of the training rows, 0 diagonal
     margins: np.ndarray  # (n,) own-class minus opposite-class score
 
 
@@ -137,7 +138,8 @@ class Objective:
 
     Built once per dataset and evaluated at many L. Both class reference
     sets of every instance must be nonempty, and every ranking pair must
-    index a training row.
+    index a training row. Instance i's margin is sum_c W_ic (K B)_ic, with
+    B the one-hot labels and W = (2 B - 1) / counts (+1/own, -1/opp).
     """
 
     def __init__(
@@ -145,16 +147,10 @@ class Objective:
     ):
         self.data = data
         self.onehot, self.counts = _class_references(data)
+        self.W = (2.0 * self.onehot - 1.0) / self.counts
         self.pairs = _check_pairs(pairs, data.n)
         self.lambda1 = lambda1
         self.lambda2 = lambda2
-        idx = np.arange(data.n)
-        own = self.counts[idx, data.y]
-        opp = self.counts[idx, 1 - data.y]
-        same = data.y[:, None] == data.y[None, :]
-        # V[i, j]: weight of kernel value k_ij in instance i's margin
-        self.V = np.where(same, (1.0 / own)[:, None], (-1.0 / opp)[:, None])
-        np.fill_diagonal(self.V, 0.0)
 
     def _hinge_args(self, margins: np.ndarray) -> np.ndarray | None:
         """Per-pair hinge argument, or None when the ranking term is off."""
@@ -171,9 +167,8 @@ class Objective:
         confidences.
         """
         L = _check_metric(L)
-        y = self.data.y
         K = kernel_matrix(L, self.data.X)
-        marg = _margins(_class_scores(K, y, self.onehot, self.counts), y)
+        marg = _margins(_class_scores(K, self.onehot, self.counts), self.data.y)
         pushpull = float(-np.sum(marg))
         l1 = float(self.lambda1 * np.abs(L).sum())
         ranking = 0.0
@@ -187,15 +182,20 @@ class Objective:
         """Gradient of the smooth loss terms (push/pull + ranking) in L.
 
         ``cache`` must be what ``value`` returned for this same L; its
-        kernel is read, not recomputed. The L1 term is excluded; the
-        proximal step owns it. Derivation: each kernel value
-        k = exp(-||L d||^2) contributes dk/dL = -2 k L d d^T, and every
-        smooth term is a weighted sum of per-instance margins, so the
-        gradient collapses to -2 L X^T P X with P = diag(r) - A - A^T,
-        A = diag(coef) (V * K) and r the row plus column sums of A.
+        kernel (zero diagonal) is read, not recomputed. The L1 term is
+        excluded; the proximal step owns it. Derivation: each kernel value
+        k = exp(-||L d||^2) contributes dk/dL = -2 k L d d^T, and the smooth
+        loss is sum_ij K_ij (M B^T)_ij with M = diag(coef) W, so the gradient
+        is -2 L (X^T diag(r) X - X^T A X - X^T A^T X) for A = K * (M B^T),
+        never formed: r = rowsum(M * (K B)) + rowsum(B * (K M)) and
+        X^T A X = sum_c (M_c * X)^T K (B_c * X). With a unit diagonal the
+        self terms would cancel only in exact arithmetic, which fails at a
+        near-identity kernel.
         """
         L = _check_metric(L)
         X = self.data.X
+        B = self.onehot
+        K = cache.kernel
         # coefficient of each instance's margin in the smooth loss
         coef = -np.ones(self.data.n)
         args = self._hinge_args(cache.margins)
@@ -203,13 +203,10 @@ class Objective:
             active = self.pairs[args > 0.0]
             np.subtract.at(coef, active[:, 0], self.lambda2)
             np.add.at(coef, active[:, 1], self.lambda2)
-        A = coef[:, None] * self.V
-        A *= cache.kernel
-        r = A.sum(axis=1) + A.sum(axis=0)
-        PX = r[:, None] * X
-        PX -= A @ X
-        PX -= A.T @ X
-        return -2.0 * L @ (X.T @ PX)
+        M = coef[:, None] * self.W
+        r = np.einsum("ic,ic->i", M, K @ B) + np.einsum("ic,ic->i", B, K @ M)
+        XAX = sum((M[:, c, None] * X).T @ (K @ (B[:, c, None] * X)) for c in (0, 1))
+        return -2.0 * L @ (X.T @ (r[:, None] * X) - XAX - XAX.T)
 
 
 def camel_cl_loss(

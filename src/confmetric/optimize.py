@@ -10,6 +10,7 @@ made.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -65,14 +66,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValidationError("regularization weights must be nonnegative")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.lambda1, self.lambda2)):
+            raise ValidationError("lambda1 and lambda2 must be finite and nonnegative")
         if self.proj_dim is not None and self.proj_dim < 1:
             raise ValidationError("proj_dim must be positive")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be positive")
-        if self.rel_tol <= 0:
-            raise ValidationError("rel_tol must be positive")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValidationError("rel_tol must be finite and positive")
         if self.pair_cap is not None and self.pair_cap < 1:
             raise ValidationError("pair_cap must be a positive integer")
 
@@ -90,10 +91,13 @@ class TraceRecord:
 @dataclass
 class TrainTrace:
     records: list[TraceRecord] = field(default_factory=list)
-    status: str = "max_iters"  # "converged" or "max_iters"
-    # why the loop ended: "rel_tol", "step_underflow" or "max_iters"; both
-    # of the first two report status "converged"
+    # why the loop ended: "rel_tol", "step_underflow" or "max_iters"
     stop_reason: str = "max_iters"
+
+    @property
+    def status(self) -> str:
+        """max_iters when the loop ran out of iterations, else converged."""
+        return "max_iters" if self.stop_reason == "max_iters" else "converged"
 
     def append(self, loss: LossBreakdown, step_size: float, L: np.ndarray):
         self.records.append(
@@ -204,7 +208,6 @@ def fit(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
                 eta *= cfg.step_policy.shrink
             if not accepted:
                 # step size underflowed without descent; treat as stationary
-                trace.status = "converged"
                 trace.stop_reason = "step_underflow"
                 break
         else:
@@ -216,7 +219,6 @@ def fit(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
         if backtracking:
             eta *= cfg.step_policy.growth
         if rel_change < cfg.rel_tol:
-            trace.status = "converged"
             trace.stop_reason = "rel_tol"
             break
 

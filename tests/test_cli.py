@@ -251,6 +251,11 @@ MALFORMED_INPUTS = {
     "experiment-unknown-key": (
         functools.partial(probe_experiment, [], max_iter=3), "validation",
     ),
+    "experiment-nan-lambda": (
+        functools.partial(probe_experiment, [],
+                          hyper_grid={"lambda1": [float("nan")], "lambda2": [0.0]}),
+        "validation",
+    ),
 }
 
 
@@ -391,8 +396,11 @@ class TestExperiment:
         (lambda r: r.update(trials="2"), "must be integers"),
         (lambda r: r.update(train_sizes=15), "invalid experiment config"),
         (lambda r: r["hyper_grid"].update(lambda1=["big"]), "invalid experiment config"),
+        (lambda r: r["hyper_grid"].update(lambda1=[-1.0]), "finite and nonnegative"),
+        (lambda r: r["hyper_grid"].update(lambda2=[float("nan")]), "finite and nonnegative"),
     ], ids=["no-train-sizes", "max-iter-typo", "grid-key", "synth-keys", "csv-keys",
-            "two-sources", "string-trials", "int-train-sizes", "string-lambda"])
+            "two-sources", "string-trials", "int-train-sizes", "string-lambda",
+            "negative-lambda1", "nan-lambda2"])
     def test_config_dict_rejected(self, tmp_path, edit, match):
         raw = json.loads(experiment_config(tmp_path).read_text())
         edit(raw)

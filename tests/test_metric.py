@@ -253,3 +253,10 @@ def test_similarity_scores_match_scalar_path():
             assert S[i, label] == pytest.approx(
                 class_similarity(L, data, i, label), rel=1e-12
             )
+    # underflow regime: a same-class kernel value of 1e-20 must survive self-
+    # exclusion rather than round away as 1 + 1e-20 - 1
+    d = math.sqrt(20.0 * math.log(10.0))
+    data = Dataset(np.array([[0.0], [d], [10.0], [11.0]]), [1, 1, 0, 0])
+    S = similarity_scores(np.eye(1), data)
+    assert S[0, 1] == pytest.approx(math.exp(-d * d), rel=1e-15, abs=0.0)
+    assert S[1, 1] == pytest.approx(math.exp(-d * d), rel=1e-15, abs=0.0)

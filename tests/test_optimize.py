@@ -198,6 +198,33 @@ class TestFit:
             assert iterations == 12
             assert len(calls) == iterations + 1
 
+    def test_peak_memory_at_most_three_kernels(self, monkeypatch):
+        import tracemalloc
+
+        import confmetric.optimize as optimize
+
+        built = []
+
+        class RecordingObjective(optimize.Objective):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(optimize, "Objective", RecordingObjective)
+        n = 600
+        data, _ = synth_generate(SynthConfig(n=n, m=20, m_informative=2, seed=0))
+        tracemalloc.start()
+        try:
+            fit(data, TrainConfig(lambda2=1.0, max_iters=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the kernel, kernel_matrix's scratch buffer and the ranking pairs;
+        # an n x n weight matrix stored for the whole fit would exceed it
+        assert peak <= 3.0 * 8 * n * n
+        (objective,) = built
+        assert all(np.size(v) < n * n for v in vars(objective).values())
+
     def test_degenerate_class_rejected(self):
         data = Dataset(np.random.default_rng(0).normal(size=(5, 2)), [0, 0, 0, 0, 1])
         with pytest.raises(DegenerateClassError):
@@ -217,6 +244,11 @@ class TestFit:
             TrainConfig(rel_tol=0.0)
         with pytest.raises(ValidationError):
             TrainConfig(pair_cap=0)
+        for bad in ({"lambda1": float("nan")}, {"lambda2": float("inf")},
+                    {"lambda2": -1.0}, {"rel_tol": float("nan")},
+                    {"rel_tol": float("inf")}):
+            with pytest.raises(ValidationError, match="finite"):
+                TrainConfig(**bad)
 
     def test_backtracking_defaults(self):
         policy = BacktrackingStep()
