@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .data_io import (
     synth_generate,
 )
 from .dataset import Dataset
-from .errors import ConfmetricError, ValidationError
+from .errors import ConfmetricError, DegenerateScoreWarning, ValidationError
 from .evaluate import (
     auroc,
     feature_weight_stats,
@@ -142,14 +143,24 @@ def cmd_predict(args) -> int:
     # labels are not needed for scoring; parse features and optional ids only
     rows, ids = _read_feature_rows(args.data, schema.feature_columns, args.id_column)
     train = Dataset(model.train_X, model.train_y)
-    scores = positive_scores(model.matrix, train, rows)
+    # degenerate rows are counted in the JSON line, not warned about in text
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DegenerateScoreWarning)
+        scores = positive_scores(model.matrix, train, rows)
+    degenerate = 0
+    for w in caught:
+        if issubclass(w.category, DegenerateScoreWarning):
+            degenerate += w.message.count
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     labels = (scores > args.threshold).astype(int)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "confidence", "label"])
         for i in range(len(scores)):
             writer.writerow([ids[i], repr(float(scores[i])), int(labels[i])])
-    _emit({"predictions": args.out, "n": len(scores), "threshold": args.threshold})
+    _emit({"predictions": args.out, "n": len(scores), "threshold": args.threshold,
+           "degenerate": degenerate})
     return 0
 
 

@@ -9,6 +9,22 @@ distance with bandwidth absorbed into the scale of L.
 ``positive_scores`` is the one query scorer: ``predict``, the experiment
 harness and the CLI all call it.
 
+Kernels are evaluated in row blocks of about ``_BLOCK_BYTES`` each, so the
+elementwise work runs in cache rather than streaming n x n buffers through
+memory once per step. ``kernel_matrix`` computes its one Gram product
+``W Z^T`` straight into the returned array (a single BLAS call, so the
+result is bit-identical to the plain expression) and then turns it into
+kernel values one block at a time; ``positive_scores`` computes the Gram
+product block by block as well and keeps only each block's two class sums,
+so it never holds a query-by-reference kernel.
+
+Underflow rule: ``exp(-d2)`` is 0.0 exactly for every ``d2 >= 746``, and
+fitting drives nearly every off-diagonal distance far past that. numpy's
+vectorized ``exp`` takes a slow path on each underflowing lane, so those
+entries are written as 0.0 without calling ``exp``; only ``d2 < 746`` (and
+NaN, which must stay NaN so a failing fit is caught) reaches ``np.exp``.
+Every kernel value is therefore exactly what ``np.exp`` would return.
+
 All functions here are pure and thread-safe.
 """
 
@@ -59,40 +75,86 @@ def kernel_similarity(L, a, b) -> float:
     return float(np.exp(-squared_distance(L, a, b)))
 
 
+# bytes of one row block: a few blocks of this size stay in L2 cache
+_BLOCK_BYTES = 512 * 1024
+# np.exp(-d2) is exactly 0.0 for every d2 at or above this
+_EXP_ZERO = 746.0
+
+
+def _projections(L, X, Q):
+    """Query rows W = Q L^T and reference rows Z = X L^T, with their squared
+    norms; W is Z when Q is None."""
+    L = _check_metric(L)
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[1] != L.shape[1]:
+        raise DimensionMismatchError("feature dimension does not match metric columns")
+    Z = X @ L.T
+    sq_z = np.einsum("ij,ij->i", Z, Z)
+    if Q is None:
+        return Z, Z, sq_z, sq_z
+    Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
+    if Q.shape[1] != L.shape[1]:
+        raise DimensionMismatchError("query dimension does not match metric columns")
+    W = Q @ L.T
+    return W, Z, np.einsum("ij,ij->i", W, W), sq_z
+
+
+def _block_height(cols: int) -> int:
+    """Rows per block: about _BLOCK_BYTES of float64 at cols columns."""
+    return max(1, _BLOCK_BYTES // (8 * max(cols, 1)))
+
+
+def _exp_neg(d2: np.ndarray, out: np.ndarray) -> None:
+    """out = np.exp(-d2) bit for bit, for C-contiguous d2 >= 0 (or NaN),
+    without passing np.exp any d2 >= _EXP_ZERO, where it returns 0.0.
+
+    Whichever of the near and the far entries are fewer are indexed: a
+    gather or scatter through an index beats a boolean mask on either side.
+    """
+    far = d2 >= _EXP_ZERO  # False for NaN, so NaN goes through np.exp
+    flat_d2, flat_out = d2.ravel(), out.ravel()
+    if 2 * np.count_nonzero(far) > far.size:
+        near = np.flatnonzero(np.logical_not(far, out=far))
+        vals = flat_d2[near]
+        np.negative(vals, out=vals)
+        np.exp(vals, out=vals)
+        out.fill(0.0)
+        flat_out[near] = vals
+        return
+    far = np.flatnonzero(far)
+    np.negative(d2, out=out)
+    flat_out[far] = 0.0  # exp(0.0) = 1 is on np.exp's fast path
+    np.exp(out, out=out)
+    flat_out[far] = 0.0
+
+
+def _kernel_rows(G, sq_w, sq_z, d2) -> None:
+    """Turn G = W Z^T into exp(-max((sq_w + sq_z) - 2 G, 0)) in place.
+
+    d2 is scratch of G's shape. Doubling is exact, so the rounding is that
+    of the plain expression.
+    """
+    np.add(sq_w[:, None], sq_z[None, :], out=d2)
+    G *= 2.0
+    np.subtract(d2, G, out=d2)
+    np.maximum(d2, 0.0, out=d2)
+    _exp_neg(d2, G)
+
+
 def kernel_matrix(L, X, Q=None) -> np.ndarray:
     """Pairwise Gaussian-kernel similarities between rows of Q and rows of X.
 
     With Q omitted, returns the symmetric (n, n) matrix over X with unit
     diagonal. Distances are clipped at zero to absorb cancellation error.
     """
-    L = _check_metric(L)
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[1] != L.shape[1]:
-        raise DimensionMismatchError("feature dimension does not match metric columns")
-    Z = X @ L.T
-    if Q is None:
-        W = Z
-        symmetric = True
-    else:
-        Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
-        if Q.shape[1] != L.shape[1]:
-            raise DimensionMismatchError("query dimension does not match metric columns")
-        W = Q @ L.T
-        symmetric = False
-    sq_w = np.einsum("ij,ij->i", W, W)
-    sq_z = np.einsum("ij,ij->i", Z, Z)
-    # d2 = (sq_w + sq_z) - 2 W Z^T, built in place so that at most two
-    # n x n buffers are alive; doubling is exact, so the rounding is that of
-    # the plain expression
-    d2 = np.add.outer(sq_w, sq_z)
-    G = W @ Z.T
-    G *= 2.0
-    d2 -= G
-    del G
-    np.maximum(d2, 0.0, out=d2)
-    np.negative(d2, out=d2)
-    K = np.exp(d2, out=d2)
-    if symmetric:
+    W, Z, sq_w, sq_z = _projections(L, X, Q)
+    K = W @ Z.T
+    h = _block_height(K.shape[1])
+    d2 = np.empty((min(h, K.shape[0]), K.shape[1]))
+    for i in range(0, K.shape[0], h):
+        G = K[i : i + h]
+        _kernel_rows(G, sq_w[i : i + h], sq_z, d2[: G.shape[0]])
+    if W is Z:
         np.fill_diagonal(K, 1.0)
     return K
 
@@ -175,16 +237,27 @@ def positive_scores(L, train: Dataset, X) -> np.ndarray:
     n0, n1 = train.class_counts()
     if n0 < 1 or n1 < 1:
         raise DegenerateClassError(f"no training instances of class {int(n0 >= 1)}")
-    S = kernel_matrix(L, train.X, Q=np.atleast_2d(X)) @ np.eye(2)[train.y]
+    W, Z, sq_w, sq_z = _projections(L, train.X, X)
+    onehot = np.eye(2)[train.y]
+    q, n = W.shape[0], Z.shape[0]
+    h = _block_height(n)
+    G = np.empty((min(h, q), n))
+    d2 = np.empty_like(G)
+    S = np.empty((q, 2))
+    for i in range(0, q, h):
+        rows, b = slice(i, i + h), min(h, q - i)
+        np.matmul(W[rows], Z.T, out=G[:b])
+        _kernel_rows(G[:b], sq_w[rows], sq_z, d2[:b])
+        np.matmul(G[:b], onehot, out=S[rows])
     S /= np.array([n0, n1], dtype=np.float64)
     total = S[:, 0] + S[:, 1]
     scores = np.full(total.shape, 0.5)
     np.divide(S[:, 1], total, out=scores, where=total > 0.0)
-    degenerate = np.count_nonzero(total == 0.0)
+    degenerate = int(np.count_nonzero(total == 0.0))
     if degenerate:
         msg = (f"{degenerate} of {total.size} rows scored 0.5: both class "
                "similarities underflowed to zero")
-        warnings.warn(msg, DegenerateScoreWarning, stacklevel=2)
+        warnings.warn(DegenerateScoreWarning(msg, degenerate), stacklevel=2)
     return scores
 
 

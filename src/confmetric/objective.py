@@ -12,9 +12,10 @@ only on the data (the one-hot labels, the class reference counts, the
 ranking pairs and the weights) is built once, when it is constructed; the
 class structure is kept at n x 2, so none of it is n x n.
 ``Objective.value(L)`` computes one n x n kernel matrix and returns the loss
-together with an ``ObjectiveCache`` holding that kernel and the per-instance
-margins; ``Objective.gradient(L, cache)`` reuses both, so the loss and the
-gradient at one L share a single kernel. ``camel_cl_loss`` and
+together with an ``ObjectiveCache`` holding that kernel, the per-instance
+margins and which hinge pairs are active; ``Objective.gradient(L, cache)``
+reuses the kernel and the active pairs, so the loss and the gradient at one
+L share a single kernel and a single hinge evaluation. ``camel_cl_loss`` and
 ``smooth_gradient`` are one-shot wrappers over it. ``camel_loss`` computes
 the base loss on its own, through ``similarity_scores``, and is the
 reference the ranking variant must equal exactly when lambda2 is 0.
@@ -131,6 +132,7 @@ class ObjectiveCache:
 
     kernel: np.ndarray  # (n, n) Gaussian kernel of the training rows, 0 diagonal
     margins: np.ndarray  # (n,) own-class minus opposite-class score
+    active: np.ndarray | None  # (pairs,) hinge is active; None with the term off
 
 
 class Objective:
@@ -148,19 +150,15 @@ class Objective:
         self.data = data
         self.onehot, self.counts = _class_references(data)
         self.W = (2.0 * self.onehot - 1.0) / self.counts
+        # the coef-independent columns of the gradient's one product with K
+        B, X = self.onehot, data.X
+        self.rhs = np.concatenate([B, B[:, :1] * X, B[:, 1:] * X], axis=1)
         self.pairs = _check_pairs(pairs, data.n)
         self.lambda1 = lambda1
         self.lambda2 = lambda2
 
-    def _hinge_args(self, margins: np.ndarray) -> np.ndarray | None:
-        """Per-pair hinge argument, or None when the ranking term is off."""
-        p = self.pairs
-        if self.lambda2 > 0 and len(p):
-            return margins[p[:, 1]] - margins[p[:, 0]]
-        return None
-
     def value(self, L) -> tuple[LossBreakdown, ObjectiveCache]:
-        """Loss at L, and the kernel and margins it was computed from.
+        """Loss at L, and the kernel, margins and active hinge pairs behind it.
 
         For each pair (a, b) the hinge activates when b's margin exceeds
         a's, i.e. when the model orders the two against the labeler's
@@ -171,41 +169,48 @@ class Objective:
         marg = _margins(_class_scores(K, self.onehot, self.counts), self.data.y)
         pushpull = float(-np.sum(marg))
         l1 = float(self.lambda1 * np.abs(L).sum())
-        ranking = 0.0
-        args = self._hinge_args(marg)
-        if args is not None:
+        ranking, active = 0.0, None
+        p = self.pairs
+        if self.lambda2 > 0 and len(p):
+            args = marg[p[:, 1]] - marg[p[:, 0]]
             ranking = float(self.lambda2 * np.maximum(0.0, args).sum())
+            active = args > 0.0
         loss = LossBreakdown(pushpull=pushpull, l1=l1, ranking=ranking)
-        return loss, ObjectiveCache(kernel=K, margins=marg)
+        return loss, ObjectiveCache(kernel=K, margins=marg, active=active)
 
     def gradient(self, L, cache: ObjectiveCache) -> np.ndarray:
         """Gradient of the smooth loss terms (push/pull + ranking) in L.
 
         ``cache`` must be what ``value`` returned for this same L; its
-        kernel (zero diagonal) is read, not recomputed. The L1 term is
-        excluded; the proximal step owns it. Derivation: each kernel value
-        k = exp(-||L d||^2) contributes dk/dL = -2 k L d d^T, and the smooth
-        loss is sum_ij K_ij (M B^T)_ij with M = diag(coef) W, so the gradient
-        is -2 L (X^T diag(r) X - X^T A X - X^T A^T X) for A = K * (M B^T),
+        kernel (zero diagonal) and active hinge pairs are read, not
+        recomputed. The L1 term is excluded; the proximal step owns it.
+        Derivation: each kernel value k = exp(-||L d||^2) contributes
+        dk/dL = -2 k L d d^T, and the smooth loss is sum_ij K_ij (M B^T)_ij
+        with M = diag(coef) W, so the gradient is
+        -2 L (X^T diag(r) X - X^T A X - X^T A^T X) for A = K * (M B^T),
         never formed: r = rowsum(M * (K B)) + rowsum(B * (K M)) and
-        X^T A X = sum_c (M_c * X)^T K (B_c * X). With a unit diagonal the
-        self terms would cancel only in exact arithmetic, which fails at a
+        X^T A X = sum_c (M_c * X)^T K (B_c * X). All four products with K
+        come from one GEMM, K [B | B_0 * X | B_1 * X | M], an n x (4 + 2m)
+        matrix, so the kernel is read once. With a unit diagonal the self
+        terms would cancel only in exact arithmetic, which fails at a
         near-identity kernel.
         """
         L = _check_metric(L)
         X = self.data.X
+        n, m = X.shape
         B = self.onehot
-        K = cache.kernel
         # coefficient of each instance's margin in the smooth loss
-        coef = -np.ones(self.data.n)
-        args = self._hinge_args(cache.margins)
-        if args is not None:
-            active = self.pairs[args > 0.0]
-            np.subtract.at(coef, active[:, 0], self.lambda2)
-            np.add.at(coef, active[:, 1], self.lambda2)
+        coef = np.full(n, -1.0)
+        if cache.active is not None:
+            p = self.pairs
+            gain = (np.bincount(p[:, 1], weights=cache.active, minlength=n)
+                    - np.bincount(p[:, 0], weights=cache.active, minlength=n))
+            coef += self.lambda2 * gain
         M = coef[:, None] * self.W
-        r = np.einsum("ic,ic->i", M, K @ B) + np.einsum("ic,ic->i", B, K @ M)
-        XAX = sum((M[:, c, None] * X).T @ (K @ (B[:, c, None] * X)) for c in (0, 1))
+        KP = cache.kernel @ np.concatenate([self.rhs, M], axis=1)
+        r = np.einsum("ic,ic->i", M, KP[:, :2]) + np.einsum("ic,ic->i", B, KP[:, -2:])
+        KBX = (KP[:, 2 : 2 + m], KP[:, 2 + m : 2 + 2 * m])
+        XAX = sum((M[:, c, None] * X).T @ KBX[c] for c in (0, 1))
         return -2.0 * L @ (X.T @ (r[:, None] * X) - XAX - XAX.T)
 
 

@@ -152,6 +152,26 @@ class TestTrainPredictEvaluate:
         assert code == 0
         assert json.loads(out)["auroc"] > 0.8
 
+    def test_predict_counts_degenerate_rows(self, tmp_path, capsys):
+        # a row far from every reference row underflows both class sums
+        _, model = trained_model(tmp_path, capsys)
+        data = tmp_path / "far.csv"
+        data.write_text("f0,f1,f2,f3,f4\n"
+                        "0.1,0.2,0.0,0.0,0.0\n"
+                        "1e6,0.2,0.0,0.0,0.0\n"
+                        "-0.3,0.1,0.0,0.0,0.0\n"
+                        "0.0,-0.4,0.0,0.0,0.0\n")
+        preds = tmp_path / "p.csv"
+        code, out, err = run(
+            capsys, "predict", "--model", str(model), "--data", str(data),
+            "--out", str(preds),
+        )
+        assert (code, err) == (0, "")
+        info = json.loads(out)
+        assert (info["n"], info["degenerate"]) == (4, 1)
+        with open(preds) as fh:
+            assert [r["confidence"] for r in csv.DictReader(fh)][1] == "0.5"
+
     def test_missing_file_reports_io_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "train", "--data", str(tmp_path / "nope.csv"),

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confmetric import (
     Dataset,
@@ -17,6 +20,7 @@ from confmetric import (
     similarity_scores,
     squared_distance,
 )
+from confmetric import metric
 
 
 class TestSquaredDistance:
@@ -131,6 +135,136 @@ class TestKernelMatrix:
             Q = rng.normal(size=(q, m))
             assert np.array_equal(kernel_matrix(L, X), seed_order_kernel(L, X))
             assert np.array_equal(kernel_matrix(L, X, Q), seed_order_kernel(L, X, Q))
+
+
+def plain_d2(L, X):
+    """Clipped squared distances between rows of X, as seed_order_kernel forms them."""
+    Z = X @ L.T
+    sq = np.einsum("ij,ij->i", Z, Z)
+    return np.maximum(sq[:, None] + sq[None, :] - 2.0 * (Z @ Z.T), 0.0)
+
+
+def simplex_points(rng, n, d2):
+    """n points whose pairwise squared distances are about d2 (within 1%)."""
+    return math.sqrt(d2 / 2.0) * (np.eye(n) + rng.uniform(-0.002, 0.002, size=(n, n)))
+
+
+class TestBlockedKernel:
+    """Row blocks and the underflow rule leave every kernel value as np.exp's."""
+
+    @pytest.fixture
+    def tiny_blocks(self, monkeypatch):
+        # three rows per block at 40 columns, so every case spans many blocks
+        monkeypatch.setattr(metric, "_BLOCK_BYTES", 3 * 40 * 8)
+
+    def test_exp_of_the_cutoff_is_zero(self):
+        assert np.exp(-746.0) == 0.0
+        assert np.exp(-metric._EXP_ZERO) == 0.0
+        assert np.exp(-745.0) > 0.0
+
+    def test_many_blocks_bit_identical(self, tiny_blocks):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            n, q, m = (int(v) for v in rng.integers(1, 60, size=3))
+            L = rng.normal(size=(int(rng.integers(1, 6)), m)) * rng.uniform(0.1, 3.0)
+            X = rng.normal(size=(n, m))
+            Q = rng.normal(size=(q, m))
+            assert np.array_equal(kernel_matrix(L, X), seed_order_kernel(L, X))
+            assert np.array_equal(kernel_matrix(L, X, Q), seed_order_kernel(L, X, Q))
+
+    # (d2 range the off-diagonal entries must fall in, how to build X)
+    REGIMES = {
+        "normal": ((0.0, 708.0), lambda rng: rng.normal(size=(40, 5)) * 4.0),
+        "subnormal": ((708.0, 746.0), lambda rng: simplex_points(rng, 40, 725.0)),
+        "far": ((746.0, math.inf), lambda rng: simplex_points(rng, 40, 1e6)),
+        # about 60% and 20% of the entries below 708 respectively
+        "mixed-mostly-near": (None, lambda rng: rng.normal(size=(40, 5)) * 8.0),
+        "mixed-mostly-far": (None, lambda rng: rng.normal(size=(40, 5)) * 12.0),
+    }
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_each_underflow_regime_bit_identical(self, regime, tiny_blocks):
+        lo_hi, make = self.REGIMES[regime]
+        rng = np.random.default_rng(22)
+        X = make(rng)
+        L = np.eye(X.shape[1])
+        off = plain_d2(L, X)[~np.eye(len(X), dtype=bool)]
+        if lo_hi is None:
+            for lo, hi in ((0.0, 708.0), (708.0, 746.0), (746.0, math.inf)):
+                assert np.any((off > lo) & (off < hi))
+        else:
+            assert np.all((off > lo_hi[0]) & (off < lo_hi[1]))
+        assert np.array_equal(kernel_matrix(L, X), seed_order_kernel(L, X))
+        Q = make(np.random.default_rng(23))[:7]
+        assert np.array_equal(kernel_matrix(L, X, Q), seed_order_kernel(L, X, Q))
+
+    def test_overflowing_norms_stay_nan(self, tiny_blocks):
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(30, 3))
+        L = 1e200 * np.eye(3)
+        with np.errstate(all="ignore"):
+            K = kernel_matrix(L, X)
+            oracle = seed_order_kernel(L, X)
+        assert np.isnan(K).any()
+        assert np.array_equal(K, oracle, equal_nan=True)
+
+    def test_positive_scores_across_blocks(self, tiny_blocks):
+        rng = np.random.default_rng(25)
+        X = rng.normal(size=(40, 3))
+        y = np.arange(40) % 2
+        data = Dataset(X, y)
+        L = rng.normal(size=(2, 3)) * 3.0
+        # the last three queries are far from every reference row
+        Q = np.vstack([rng.normal(size=(50, 3)), np.full((3, 3), 1e4)])
+        with pytest.warns(DegenerateScoreWarning) as record:
+            scores = positive_scores(L, data, Q)
+        S = seed_order_kernel(L, X, Q) @ np.eye(2)[y] / np.bincount(y)
+        total = S.sum(axis=1)
+        assert [w.message.count for w in record] == [np.count_nonzero(total == 0.0)]
+        assert record[0].message.count == 3
+        expected = np.where(total > 0.0, S[:, 1] / np.where(total > 0.0, total, 1.0), 0.5)
+        assert np.allclose(scores, expected, rtol=1e-14, atol=0.0)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelMemory:
+    def test_kernel_matrix_holds_one_kernel(self):
+        n = 1500
+        rng = np.random.default_rng(26)
+        X = rng.normal(size=(n, 10))
+        L = rng.normal(size=(10, 10))
+        assert traced_peak(kernel_matrix, L, X) <= 1.1 * 8 * n * n
+
+    def test_positive_scores_holds_no_query_kernel(self):
+        q, n = 5000, 400
+        rng = np.random.default_rng(27)
+        data = Dataset(rng.normal(size=(n, 10)), np.arange(n) % 2)
+        L = rng.normal(size=(10, 10)) * 0.1
+        Q = rng.normal(size=(q, 10))
+        assert traced_peak(positive_scores, L, data, Q) <= 0.25 * 8 * q * n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    m=st.integers(1, 8),
+    m_prime=st.integers(1, 8),
+    log_scale=st.floats(-2.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_matrix_bit_identical_property(n, m, m_prime, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    L = rng.normal(size=(m_prime, m)) * 10.0**log_scale
+    X = rng.normal(size=(n, m))
+    assert np.array_equal(kernel_matrix(L, X), seed_order_kernel(L, X))
 
 
 class TestClassSimilarityQuery:
