@@ -53,17 +53,7 @@ from .objective import (
     margin,
     smooth_gradient,
 )
-from .optimize import (
-    BacktrackingStep,
-    FixedStep,
-    ScaledIdentityInit,
-    SeededGaussianInit,
-    TrainConfig,
-    TrainTrace,
-    fit,
-    init_metric,
-    soft_threshold,
-)
+from .optimize import TrainConfig, TrainTrace, fit, init_metric, soft_threshold
 
 ObjectiveConfig = TrainConfig  # former name of the lambda weights' config
 
@@ -87,7 +77,5 @@ __all__ = [
     "LossBreakdown", "RankingPairs",
     "build_ranking_pairs", "camel_cl_loss", "camel_loss", "margin",
     "smooth_gradient",
-    "BacktrackingStep", "FixedStep", "ScaledIdentityInit",
-    "SeededGaussianInit", "TrainConfig", "TrainTrace", "fit", "init_metric",
-    "soft_threshold",
+    "TrainConfig", "TrainTrace", "fit", "init_metric", "soft_threshold",
 ]

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 import warnings
 
@@ -99,14 +101,7 @@ def cmd_train(args) -> int:
     model = ModelFile.create(
         matrix=L,
         feature_columns=schema.feature_columns,
-        train_config={
-            "lambda1": cfg.lambda1,
-            "lambda2": cfg.lambda2,
-            "proj_dim": cfg.proj_dim,
-            "max_iters": cfg.max_iters,
-            "rel_tol": cfg.rel_tol,
-            "seed": cfg.seed,
-        },
+        train_config=dataclasses.asdict(cfg),
         train_X=data.X,
         train_y=data.y,
     )
@@ -135,6 +130,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if not math.isfinite(args.threshold):
+        raise ValidationError(f"--threshold must be finite, got {args.threshold!r}")
     model = load_model(args.model)
     if model.train_X is None:
         raise ValidationError("model file lacks training instances; cannot score")

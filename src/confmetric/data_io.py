@@ -253,7 +253,7 @@ def split(data: Dataset, train_n: int, seed: int) -> tuple[Dataset, Dataset, Dat
     when odd. Rows keep the permutation order, so prefixes of the train set
     are themselves uniform subsamples.
     """
-    if train_n >= data.n - 1 or data.n - train_n < 2:
+    if data.n - train_n < 2:
         raise ValidationError("train_n leaves fewer than 2 held-out instances")
     if train_n < 1:
         raise ValidationError("train_n must be positive")

@@ -5,7 +5,9 @@ size (a prefix of the trial's train pool, so smaller sets nest inside
 larger ones) and every method, hyperparameters are grid-searched on
 validation AUROC and the winner is scored on the test set. Everything is
 deterministic in the config seed; result records are emitted in canonical
-(trial, train_size, method) order so repeated runs are byte-identical.
+(trial, train_size, method) order, the loop order itself (train sizes are
+strictly ascending and methods distinct), so repeated runs are
+byte-identical.
 
 Validation and test rows are scored by ``metric.positive_scores``, the
 package's one query scorer, which ``predict`` also uses.
@@ -61,12 +63,16 @@ class ExperimentConfig:
             raise ValidationError("proj_dim must be an integer")
         if self.trials < 1:
             raise ValidationError("trials must be positive")
-        if not self.train_sizes or sorted(self.train_sizes) != list(self.train_sizes):
-            raise ValidationError("train_sizes must be a nonempty ascending list")
+        sizes = list(self.train_sizes)
+        if not sizes or sorted(set(sizes)) != sizes:
+            raise ValidationError("train_sizes must be nonempty and strictly ascending")
         if not self.lambda1_grid:
             raise ValidationError("lambda1 grid must be nonempty")
-        if not self.methods or any(m not in METHODS for m in self.methods):
-            raise ValidationError(f"methods must be a nonempty subset of {METHODS}")
+        if (not self.methods or any(m not in METHODS for m in self.methods)
+                or len(set(self.methods)) != len(self.methods)):
+            raise ValidationError(
+                f"methods must be a nonempty list of distinct names from {METHODS}"
+            )
         if "camel_cl" in self.methods and not self.lambda2_grid:
             raise ValidationError("lambda2 grid must be nonempty for camel_cl")
         if (self.synth is None) == (self.csv_path is None):
@@ -174,7 +180,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
                 except ConfmetricError as exc:
                     rec.error = f"{exc.code}: {exc}"
                 records.append(rec)
-    records.sort(key=lambda r: (r.trial, r.train_size, cfg.methods.index(r.method)))
     return records
 
 

@@ -48,9 +48,6 @@ from .metric import (
 if TYPE_CHECKING:  # optimize imports this module
     from .optimize import TrainConfig
 
-_PAIR_STREAM = 4  # keeps equal seeds from aliasing other RNG consumers
-
-
 @dataclass(frozen=True)
 class LossBreakdown:
     pushpull: float
@@ -73,11 +70,10 @@ class RankingPairs:
         return self.pairs.shape[0]
 
 
-def build_ranking_pairs(labels, confidences, pair_cap=None, seed=0) -> RankingPairs:
+def build_ranking_pairs(labels, confidences) -> RankingPairs:
     """All (a, b) with equal labels and strictly greater confidence at a.
 
-    Ties produce no pair. If pair_cap is set and exceeded, a uniformly
-    random subset of that size is kept, deterministic in the seed.
+    Ties produce no pair.
     """
     if confidences is None:
         raise MissingSupervisionError("ranking pairs require confidence labels")
@@ -88,12 +84,7 @@ def build_ranking_pairs(labels, confidences, pair_cap=None, seed=0) -> RankingPa
     same = labels[:, None] == labels[None, :]
     higher = confidences[:, None] > confidences[None, :]
     a_idx, b_idx = np.nonzero(same & higher)
-    pairs = np.column_stack([a_idx, b_idx]).astype(np.int64)
-    if pair_cap is not None and pairs.shape[0] > pair_cap:
-        rng = np.random.default_rng([seed, _PAIR_STREAM])
-        keep = np.sort(rng.choice(pairs.shape[0], size=pair_cap, replace=False))
-        pairs = pairs[keep]
-    return RankingPairs(pairs)
+    return RankingPairs(np.column_stack([a_idx, b_idx]).astype(np.int64))
 
 
 def margin(L, data: Dataset, i: int) -> float:

@@ -2,10 +2,13 @@
 
 Each iteration takes a gradient step on the smooth loss terms and applies
 element-wise soft thresholding for the L1 penalty, so entries land on
-exactly 0.0 rather than merely small values. Backtracking line search keeps
-the accepted total loss non-increasing. The objective is non-convex in L;
-results depend on the initialization seed and no global-optimality claim is
-made.
+exactly 0.0 rather than merely small values. There is one step rule:
+backtracking line search that starts at step 1, halves the step for each
+rejected trial, grows it by 1.1 after each accepted iteration, and stops the
+fit once the step falls below 1e-20. A trial is accepted when its total loss
+does not exceed the current one, so the accepted total loss never increases.
+The objective is non-convex in L; results depend on the initialization seed
+and no global-optimality claim is made.
 """
 
 from __future__ import annotations
@@ -23,32 +26,14 @@ from .errors import (
     NumericalFailureError,
     ValidationError,
 )
+from .evaluate import sparsity
 from .objective import LossBreakdown, Objective, RankingPairs, build_ranking_pairs
 
-_MIN_STEP = 1e-20
+_ETA0 = 1.0  # first trial step
+_SHRINK = 0.5  # step factor per rejected trial
+_GROWTH = 1.1  # step factor per accepted iteration
+_MIN_STEP = 1e-20  # a step below this ends the fit ("step_underflow")
 _INIT_STREAM = 3  # keeps equal seeds from aliasing other RNG consumers
-
-
-@dataclass(frozen=True)
-class FixedStep:
-    eta: float = 0.1
-
-
-@dataclass(frozen=True)
-class BacktrackingStep:
-    eta0: float = 1.0
-    shrink: float = 0.5
-    growth: float = 1.1
-
-
-@dataclass(frozen=True)
-class ScaledIdentityInit:
-    pass
-
-
-@dataclass(frozen=True)
-class SeededGaussianInit:
-    sigma: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -58,11 +43,6 @@ class TrainConfig:
     proj_dim: int | None = None  # None -> square L (m' = m)
     max_iters: int = 500
     rel_tol: float = 1e-6
-    step_policy: FixedStep | BacktrackingStep = field(default_factory=BacktrackingStep)
-    init_policy: ScaledIdentityInit | SeededGaussianInit = field(
-        default_factory=ScaledIdentityInit
-    )
-    pair_cap: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -74,8 +54,6 @@ class TrainConfig:
             raise ValidationError("max_iters must be positive")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValidationError("rel_tol must be finite and positive")
-        if self.pair_cap is not None and self.pair_cap < 1:
-            raise ValidationError("pair_cap must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -107,7 +85,7 @@ class TrainTrace:
                 l1=loss.l1,
                 ranking=loss.ranking,
                 step_size=step_size,
-                sparsity=float(np.mean(L == 0.0)),
+                sparsity=sparsity(L),
             )
         )
 
@@ -120,22 +98,19 @@ def soft_threshold(M, t: float) -> np.ndarray:
     return np.sign(M) * np.maximum(np.abs(M) - t, 0.0)
 
 
-def init_metric(m: int, m_prime: int, data: Dataset, policy, seed: int) -> np.ndarray:
-    """Initial L with scale chosen from the data.
+def init_metric(m: int, m_prime: int, data: Dataset, seed: int) -> np.ndarray:
+    """Initial L: the m' x m identity pattern, scaled from the data.
 
-    The initial scale doubles as the initial kernel bandwidth, so the base
-    matrix (identity pattern or seeded Gaussian entries) is rescaled so the
-    median projected squared distance over up to 1000 seeded random training
-    pairs equals 1. A median of exactly 0 (duplicate-only data) falls back
-    to scale 1 with a warning.
+    The initial scale doubles as the initial kernel bandwidth, so
+    ``np.eye(m_prime, m)`` is rescaled so the median projected squared
+    distance over up to 1000 seeded random training pairs equals 1. A
+    median of exactly 0 (duplicate-only data) falls back to scale 1 with a
+    warning.
     """
     if m < 1 or m_prime < 1:
         raise ValidationError("matrix dimensions must be positive")
     rng = np.random.default_rng([seed, _INIT_STREAM])
-    if isinstance(policy, SeededGaussianInit):
-        base = rng.normal(0.0, policy.sigma, size=(m_prime, m))
-    else:
-        base = np.eye(m_prime, m)
+    base = np.eye(m_prime, m)
     n_pairs = min(1000, data.n * (data.n - 1))
     i = rng.integers(0, data.n, size=n_pairs)
     j = rng.integers(0, data.n - 1, size=n_pairs)
@@ -150,6 +125,12 @@ def init_metric(m: int, m_prime: int, data: Dataset, policy, seed: int) -> np.nd
 
 def fit(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     """Minimize the training objective by proximal gradient descent.
+
+    L starts at ``init_metric``'s scaled identity. Each iteration tries
+    steps eta from the previous accepted step times 1.1 (1 at the first
+    iteration), halving eta after every trial whose total loss exceeds the
+    current one; once eta falls below 1e-20 without descent the fit stops
+    with ``stop_reason`` "step_underflow".
 
     One ``Objective`` serves the whole fit. The starting loss and every
     line-search trial compute exactly one kernel matrix; the accepted
@@ -167,57 +148,42 @@ def fit(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
 
     m = data.m
     m_prime = cfg.proj_dim if cfg.proj_dim is not None else m
-    L = init_metric(m, m_prime, data, cfg.init_policy, cfg.seed)
+    L = init_metric(m, m_prime, data, cfg.seed)
 
-    if cfg.lambda2 > 0:
-        pairs = build_ranking_pairs(data.y, data.c, cfg.pair_cap, cfg.seed)
-    else:
-        pairs = RankingPairs()
+    pairs = build_ranking_pairs(data.y, data.c) if cfg.lambda2 > 0 else RankingPairs()
     objective = Objective(data, pairs, cfg.lambda1, cfg.lambda2)
 
     loss, cache = objective.value(L)
     if not np.isfinite(loss.total):
         raise NumericalFailureError("non-finite loss at initialization", iteration=0)
 
-    backtracking = isinstance(cfg.step_policy, BacktrackingStep)
-    eta = cfg.step_policy.eta0 if backtracking else cfg.step_policy.eta
-
+    eta = _ETA0
     trace = TrainTrace()
     trace.append(loss, eta, L)
-
-    def trial(k, L, g, eta):
-        L_new = soft_threshold(L - eta * g, eta * cfg.lambda1)
-        loss_new, cache_new = objective.value(L_new)
-        if not np.isfinite(loss_new.total):
-            raise NumericalFailureError(
-                f"non-finite loss at iteration {k + 1}", iteration=k + 1
-            )
-        return L_new, loss_new, cache_new
 
     for k in range(cfg.max_iters):
         g = objective.gradient(L, cache)
         cache = None  # free this kernel before the trials build theirs
-        if backtracking:
-            accepted = False
-            while eta >= _MIN_STEP:
-                L_new, loss_new, cache = trial(k, L, g, eta)
-                if loss_new.total <= loss.total:
-                    accepted = True
-                    break
-                cache = None
-                eta *= cfg.step_policy.shrink
-            if not accepted:
-                # step size underflowed without descent; treat as stationary
-                trace.stop_reason = "step_underflow"
+        while eta >= _MIN_STEP:
+            L_new = soft_threshold(L - eta * g, eta * cfg.lambda1)
+            loss_new, cache = objective.value(L_new)
+            if not np.isfinite(loss_new.total):
+                raise NumericalFailureError(
+                    f"non-finite loss at iteration {k + 1}", iteration=k + 1
+                )
+            if loss_new.total <= loss.total:
                 break
+            cache = None
+            eta *= _SHRINK
         else:
-            L_new, loss_new, cache = trial(k, L, g, eta)
+            # step size underflowed without descent; treat as stationary
+            trace.stop_reason = "step_underflow"
+            break
 
         rel_change = abs(loss_new.total - loss.total) / max(abs(loss.total), 1e-12)
         L, loss = L_new, loss_new
         trace.append(loss, eta, L)
-        if backtracking:
-            eta *= cfg.step_policy.growth
+        eta *= _GROWTH
         if rel_change < cfg.rel_tol:
             trace.stop_reason = "rel_tol"
             break

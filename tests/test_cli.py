@@ -1,11 +1,18 @@
 import csv
+import dataclasses
 import functools
 import json
 
 import numpy as np
 import pytest
 
-from confmetric import ExperimentConfig, SynthConfig, ValidationError, run_experiment
+from confmetric import (
+    ExperimentConfig,
+    SynthConfig,
+    TrainConfig,
+    ValidationError,
+    run_experiment,
+)
 from confmetric.cli import main
 
 
@@ -91,6 +98,26 @@ class TestTrainPredictEvaluate:
         result = json.loads(out)
         assert result["n"] == 60
         assert result["auroc"] > 0.8
+
+    def test_train_config_records_every_field(self, tmp_path, capsys):
+        # a non-default value for every train flag must reach the model file,
+        # and every TrainConfig field must have a flag
+        data = make_data(tmp_path, capsys)
+        model = tmp_path / "m.json"
+        code, _, _ = run(
+            capsys, "train", "--data", str(data), "--confidence", "confidence",
+            "--lambda1", "0.25", "--lambda2", "0.5", "--proj-dim", "3",
+            "--max-iters", "4", "--rel-tol", "0.001", "--seed", "9",
+            "--out", str(model), "--trace", str(tmp_path / "t.csv"),
+        )
+        assert code == 0
+        expected = TrainConfig(lambda1=0.25, lambda2=0.5, proj_dim=3, max_iters=4,
+                               rel_tol=0.001, seed=9)
+        recorded = json.loads(model.read_text())["train_config"]
+        assert recorded == dataclasses.asdict(expected)
+        assert list(recorded) == [f.name for f in dataclasses.fields(TrainConfig)]
+        for f in dataclasses.fields(TrainConfig):
+            assert recorded[f.name] != f.default
 
     def test_train_without_confidence_column(self, tmp_path, capsys):
         data = make_data(tmp_path, capsys)
@@ -231,6 +258,13 @@ def probe_synth_config(raw, tmp_path, capsys):
     return ["synth", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
 
 
+def probe_predict_threshold(text, tmp_path, capsys):
+    data, model = trained_model(tmp_path, capsys)
+    return ["predict", "--model", str(model), "--data", str(data),
+            "--confidence", "confidence", "--threshold", text,
+            "--out", str(tmp_path / "out.csv")]
+
+
 def probe_experiment(drop, tmp_path, capsys, **overrides):
     cfg = experiment_config(tmp_path, **overrides)
     raw = json.loads(cfg.read_text())
@@ -257,6 +291,9 @@ MALFORMED_INPUTS = {
         "validation",
     ),
     "non-numeric-confidence": (probe_bad_confidence, "validation"),
+    "predict-nan-threshold": (
+        functools.partial(probe_predict_threshold, "nan"), "validation",
+    ),
     "unknown-synth-key": (
         functools.partial(probe_synth_config, {"n": 20, "m": 3, "m_informative": 1,
                                                "bogus": 1}),
@@ -418,9 +455,12 @@ class TestExperiment:
         (lambda r: r["hyper_grid"].update(lambda1=["big"]), "invalid experiment config"),
         (lambda r: r["hyper_grid"].update(lambda1=[-1.0]), "finite and nonnegative"),
         (lambda r: r["hyper_grid"].update(lambda2=[float("nan")]), "finite and nonnegative"),
+        (lambda r: r.update(train_sizes=[20, 20]), "strictly ascending"),
+        (lambda r: r.update(methods=["camel", "camel"]), "distinct"),
     ], ids=["no-train-sizes", "max-iter-typo", "grid-key", "synth-keys", "csv-keys",
             "two-sources", "string-trials", "int-train-sizes", "string-lambda",
-            "negative-lambda1", "nan-lambda2"])
+            "negative-lambda1", "nan-lambda2", "duplicate-train-size",
+            "duplicate-method"])
     def test_config_dict_rejected(self, tmp_path, edit, match):
         raw = json.loads(experiment_config(tmp_path).read_text())
         edit(raw)

@@ -48,6 +48,16 @@ def random_dataset(rng, n=8, m=3, with_conf=True):
     return Dataset(X, y, c)
 
 
+def pair_subset(data, n_pairs, seed):
+    """All ranking pairs of data, or a seeded subset of n_pairs of them."""
+    full = build_ranking_pairs(data.y, data.c)
+    if n_pairs is None:
+        return full
+    rng = np.random.default_rng(seed)
+    idx = np.sort(rng.choice(len(full), size=n_pairs, replace=False))
+    return RankingPairs(full.pairs[idx])
+
+
 class TestBuildRankingPairs:
     def test_single_ordered_pair(self):
         pairs = build_ranking_pairs([1, 1], [0.65, 0.95])
@@ -81,16 +91,6 @@ class TestBuildRankingPairs:
             assert len(pairs) == len(got)  # no duplicates
             assert all(a != b for a, b in got)
 
-    def test_pair_cap_deterministic_subset(self):
-        rng = np.random.default_rng(1)
-        y = np.zeros(30, dtype=int)
-        c = rng.uniform(size=30)
-        full = {tuple(p) for p in build_ranking_pairs(y, c).pairs}
-        capped1 = build_ranking_pairs(y, c, pair_cap=10, seed=5)
-        capped2 = build_ranking_pairs(y, c, pair_cap=10, seed=5)
-        assert len(capped1) == 10
-        assert np.array_equal(capped1.pairs, capped2.pairs)
-        assert {tuple(p) for p in capped1.pairs} <= full
 
 
 class TestMargin:
@@ -319,16 +319,16 @@ def dense_gradient(L, data, lambda2, pairs):
 class TestObjective:
     """One Objective evaluated at several L, against independent formulas."""
 
-    CASES = [(0.0, None), (1.5, None), (0.7, 5)]  # (lambda2, pair_cap)
+    CASES = [(0.0, None), (1.5, None), (0.7, 5)]  # (lambda2, pairs kept; None: all)
 
-    @pytest.mark.parametrize("lambda2,pair_cap", CASES)
-    def test_loss_matches_wrappers_and_scores(self, lambda2, pair_cap):
+    @pytest.mark.parametrize("lambda2,n_pairs", CASES)
+    def test_loss_matches_wrappers_and_scores(self, lambda2, n_pairs):
         rng = np.random.default_rng(13)
         for _ in range(5):
             data = random_dataset(rng, n=int(rng.integers(6, 14)))
-            pairs = build_ranking_pairs(data.y, data.c, pair_cap=pair_cap, seed=2)
-            if pair_cap is not None:
-                assert len(pairs) == pair_cap
+            pairs = pair_subset(data, n_pairs, seed=2)
+            if n_pairs is not None:
+                assert len(pairs) == n_pairs
             objective = Objective(data, pairs, 0.3, lambda2)
             for _ in range(3):
                 L = rng.normal(size=(int(rng.integers(1, 4)), 3))
@@ -350,12 +350,12 @@ class TestObjective:
                       for case in CASES]
     GRADIENT_CASES.append(pytest.param(1.5, None, 20.0, id="1.5-None-near-identity"))
 
-    @pytest.mark.parametrize("lambda2,pair_cap,scale", GRADIENT_CASES)
-    def test_gradient_matches_dense_formula(self, lambda2, pair_cap, scale):
+    @pytest.mark.parametrize("lambda2,n_pairs,scale", GRADIENT_CASES)
+    def test_gradient_matches_dense_formula(self, lambda2, n_pairs, scale):
         rng = np.random.default_rng(14)
         for _ in range(5):
             data = random_dataset(rng, n=int(rng.integers(6, 14)))
-            pairs = build_ranking_pairs(data.y, data.c, pair_cap=pair_cap, seed=3)
+            pairs = pair_subset(data, n_pairs, seed=3)
             objective = Objective(data, pairs, 0.3, lambda2)
             for _ in range(3):
                 L = rng.normal(size=(int(rng.integers(1, 4)), 3)) * scale
