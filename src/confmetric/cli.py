@@ -19,9 +19,9 @@ import numpy as np
 from .data_io import (
     DatasetSchema,
     SynthConfig,
-    _parse_numbers,
-    _require_columns,
+    decoding_errors,
     load_csv,
+    read_columns,
     read_json_config,
     save_csv,
     synth_generate,
@@ -53,7 +53,7 @@ def _emit(obj):
 
 
 def _read_header(path) -> list[str]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, decoding_errors(path):
         header = next(csv.reader(fh), None)
     if not header:
         raise ValidationError(f"{path}: empty file or missing header")
@@ -162,31 +162,21 @@ def cmd_predict(args) -> int:
 
 
 def _read_feature_rows(path, feature_columns, id_column):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, [*feature_columns, *([id_column] if id_column else [])])
-        rows, ids = [], []
-        for rownum, row in enumerate(reader, start=2):
-            rows.append(_parse_numbers(row, feature_columns, rownum))
-            ids.append(row[id_column] if id_column else str(rownum - 2))
-    if not rows:
+    X, _, _, ids = read_columns(path, feature_columns, id_column=id_column)
+    if not len(X):
         raise ValidationError(f"{path}: no data rows")
-    return np.array(rows), ids
+    return X, (ids if id_column else [str(i) for i in range(len(X))])
 
 
 def cmd_evaluate(args) -> int:
     schema = _schema_from_flags(args.data, args)
     data, _ = load_csv(args.data, schema)
-    with open(args.pred, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, ["confidence"])
-        scores = [_parse_numbers(row, ["confidence"], rownum)[0]
-                  for rownum, row in enumerate(reader, start=2)]
+    scores = read_columns(args.pred, ["confidence"])[0][:, 0]
     if len(scores) != data.n:
         raise ValidationError(
             f"prediction rows ({len(scores)}) do not match data rows ({data.n})"
         )
-    _emit({"auroc": auroc(np.array(scores), data.y), "n": data.n})
+    _emit({"auroc": auroc(scores, data.y), "n": data.n})
     return 0
 
 
@@ -253,8 +243,15 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are malformed input: one JSON line, like every other."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="confmetric",
         description="Sparse confidence-based metric learning",
     )
@@ -315,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfmetricError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)

@@ -4,13 +4,20 @@ CSV interface: UTF-8, comma-separated, header row required, '.' decimal
 separator, no thousands separators. An empty string in the confidence
 column means the confidence is missing; confidences must be either all
 present or all absent.
+
+numpy's C reader parses the numeric cells. Whenever it cannot vouch for a
+file, the row parser reads the file again, and it alone raises the errors
+that name a row, a column and the offending text.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import math
+import warnings
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -22,10 +29,24 @@ from .errors import ValidationError
 _SYNTH_STREAM = 1
 _SPLIT_STREAM = 2
 
+_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}
+# numpy's float parser strips these ASCII separators as whitespace; float() does not
+_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+@contextlib.contextmanager
+def decoding_errors(path):
+    """Turn bytes that are not UTF-8, met anywhere in the block, into a
+    ValidationError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
 
 def read_json_config(path, what: str) -> dict:
     """Parse a JSON config file; a syntax error is a ValidationError."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, decoding_errors(path):
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -50,8 +71,8 @@ def _integers(*values) -> bool:
                for v in values)
 
 
-def _require_columns(reader: csv.DictReader, columns):
-    missing = [c for c in columns if c not in (reader.fieldnames or [])]
+def _require_columns(header: list[str], columns):
+    missing = [c for c in columns if c not in header]
     if missing:
         raise ValidationError(f"header is missing columns: {missing}")
 
@@ -128,52 +149,100 @@ class SynthConfig:
             raise ValidationError(f"invalid {what}: {exc}") from None
 
 
-def load_csv(path, schema: DatasetSchema) -> tuple[Dataset, list[str] | None]:
-    """Parse a CSV file against a schema.
+def read_columns(path, features, label=None, confidence=None, id_column=None):
+    """Parse the named columns of a CSV file.
 
-    Returns the dataset and, when the schema names an id column, the row
-    ids in file order. Parse failures name the row, column, and offending
-    text.
+    Returns (X, y, c, ids): the feature cells as an n×len(features) float64
+    array; the labels as int64; the confidences, None also when every
+    confidence cell is empty; and the id cells as strings. y, c and ids are
+    None when their column is not asked for.
+
+    numpy's C reader parses the cells first. If it fails, or a cell is not
+    finite, a label is not exactly "0" or "1" or a confidence is empty or
+    outside [0, 1], the row parser reads the file again. It returns the same
+    values bit for bit, or raises the ValidationError that names the first bad
+    row, column and text.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        needed = list(schema.feature_columns) + [schema.label_column]
-        if schema.confidence_column is not None:
-            needed.append(schema.confidence_column)
-        if schema.id_column is not None:
-            needed.append(schema.id_column)
-        _require_columns(reader, needed)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with decoding_errors(path):
+        fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+        header = next(csv.reader(fh), [])
+        _require_columns(header, [c for c in (*features, label, confidence, id_column)
+                                  if c is not None])
+        rows = None
+        if not any(ch in raw for ch in _NUMPY_ONLY_SPACE):
+            rows = _read_fast(fh, header, features, label, confidence, id_column)
+        if rows is None:
+            fh.seek(0)
+            rows = _read_slow(fh, features, label, confidence, id_column)
+    return rows
 
-        X_rows, labels, confs, ids = [], [], [], []
-        for rownum, row in enumerate(reader, start=2):  # header is line 1
-            feats = _parse_numbers(row, schema.feature_columns, rownum)
-            text = row[schema.label_column]
+
+def _read_fast(fh, header, features, label, confidence, id_column):
+    """The columns by np.loadtxt, or None when anything needs the row parser."""
+    # a repeated name stands for its last column, as in csv.DictReader
+    col = {name: j for j, name in enumerate(header)}
+    numeric = [*features, *([confidence] if confidence is not None else [])]
+    text = [c for c in (label, id_column) if c is not None]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file has no data
+            values = np.loadtxt(fh, usecols=[col[c] for c in numeric],
+                                dtype=np.float64, **_LOADTXT)
+            if text:
+                fh.seek(0)
+                next(csv.reader(fh))
+                # object cells keep the text as csv reads it, NUL characters included
+                cells = np.loadtxt(fh, usecols=[col[c] for c in text], dtype=object,
+                                   **_LOADTXT)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all() or (text and len(cells) != len(values)):
+        return None
+    y = c = ids = None
+    if label is not None:
+        ones = cells[:, 0] == "1"
+        if not (ones | (cells[:, 0] == "0")).all():
+            return None
+        y = ones.astype(np.int64)
+    if confidence is not None:
+        c = values[:, -1].copy()
+        if not ((c >= 0.0) & (c <= 1.0)).all():
+            return None
+    if id_column is not None:
+        ids = cells[:, -1].tolist()
+    return np.ascontiguousarray(values[:, :len(features)]), y, c, ids
+
+
+def _read_slow(fh, features, label, confidence, id_column):
+    """The columns by csv.DictReader and float(), one row at a time."""
+    X_rows, labels, confs, ids = [], [], [], []
+    for rownum, row in enumerate(csv.DictReader(fh), start=2):  # header is line 1
+        X_rows.append(_parse_numbers(row, features, rownum))
+        if label is not None:
+            text = row[label]
             if text not in ("0", "1"):
                 raise ValidationError(
-                    f"row {rownum}, column {schema.label_column!r}: "
-                    f"label must be 0 or 1, got {text!r}"
+                    f"row {rownum}, column {label!r}: label must be 0 or 1, got {text!r}"
                 )
             labels.append(int(text))
-            if schema.confidence_column is not None:
-                col = schema.confidence_column
-                if row[col] == "" or row[col] is None:
-                    confs.append(None)
-                else:
-                    (v,) = _parse_numbers(row, [col], rownum)
-                    if not 0.0 <= v <= 1.0:
-                        raise ValidationError(
-                            f"row {rownum}, column {col!r}: "
-                            f"confidence {row[col]!r} outside [0, 1]"
-                        )
-                    confs.append(v)
-            if schema.id_column is not None:
-                ids.append(row[schema.id_column])
-            X_rows.append(feats)
-
-    if not X_rows:
-        raise ValidationError("CSV contains no data rows")
+        if confidence is not None:
+            text = row[confidence]
+            if text == "" or text is None:
+                confs.append(None)
+            else:
+                (v,) = _parse_numbers(row, [confidence], rownum)
+                if not 0.0 <= v <= 1.0:
+                    raise ValidationError(
+                        f"row {rownum}, column {confidence!r}: "
+                        f"confidence {text!r} outside [0, 1]"
+                    )
+                confs.append(v)
+        if id_column is not None:
+            ids.append(row[id_column])
     c = None
-    if schema.confidence_column is not None:
+    if confidence is not None:
         present = [v is not None for v in confs]
         if all(present):
             c = np.array(confs, dtype=np.float64)
@@ -182,8 +251,23 @@ def load_csv(path, schema: DatasetSchema) -> tuple[Dataset, list[str] | None]:
             raise ValidationError(
                 f"confidence column is partially populated (first empty at row {bad})"
             )
-    data = Dataset(np.array(X_rows), np.array(labels), c)
-    return data, (ids if schema.id_column is not None else None)
+    X = np.array(X_rows, dtype=np.float64).reshape(len(X_rows), len(features))
+    y = np.array(labels, dtype=np.int64) if label is not None else None
+    return X, y, c, (ids if id_column is not None else None)
+
+
+def load_csv(path, schema: DatasetSchema) -> tuple[Dataset, list[str] | None]:
+    """Parse a CSV file against a schema.
+
+    Returns the dataset and, when the schema names an id column, the row
+    ids in file order. Parse failures name the row, column, and offending
+    text.
+    """
+    X, y, c, ids = read_columns(path, schema.feature_columns, schema.label_column,
+                                schema.confidence_column, schema.id_column)
+    if not len(X):
+        raise ValidationError("CSV contains no data rows")
+    return Dataset(X, y, c), ids
 
 
 def save_csv(path, data: Dataset, schema: DatasetSchema | None = None) -> DatasetSchema:

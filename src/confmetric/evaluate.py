@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import UndefinedMetricError, ValidationError
 
@@ -44,8 +43,22 @@ def auroc(scores, labels) -> float:
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUROC undefined with a single class")
-    ranks = rankdata(scores)
+    ranks = _midranks(scores)
     return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+
+def _midranks(x) -> np.ndarray:
+    """Ranks from 1, tied values sharing the mean of their ranks; all NaN if
+    any value is NaN. The same values as scipy.stats.rankdata(x)."""
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    obs = np.r_[True, xs[1:] != xs[:-1]]  # first of each tie group
+    dense = np.empty(x.shape, dtype=np.intp)
+    dense[order] = np.cumsum(obs)
+    count = np.r_[np.nonzero(obs)[0], len(x)]  # where each group starts, then n
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
 def sparsity(L) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_io import decoding_errors
 from .errors import SchemaMismatchError, ValidationError
 
 FORMAT_VERSION = 1
@@ -54,10 +55,6 @@ class ModelFile:
             )
 
 
-def _matrix_to_lists(M):
-    return [[float(v) for v in row] for row in M]
-
-
 def save_model(path, model: ModelFile):
     # json round-trips python floats via repr, so matrices are bit-exact
     payload = {
@@ -65,13 +62,14 @@ def save_model(path, model: ModelFile):
         "fingerprint": model.fingerprint,
         "feature_columns": model.feature_columns,
         "train_config": model.train_config,
-        "matrix": _matrix_to_lists(model.matrix),
+        "matrix": np.asarray(model.matrix, dtype=np.float64).tolist(),
     }
     if model.train_X is not None:
-        payload["train_X"] = _matrix_to_lists(model.train_X)
-        payload["train_y"] = [int(v) for v in model.train_y]
+        payload["train_X"] = np.asarray(model.train_X, dtype=np.float64).tolist()
+        payload["train_y"] = np.asarray(model.train_y, dtype=np.int64).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        # dumps, unlike dump, runs the C encoder
+        fh.write(json.dumps(payload))
         fh.write("\n")
 
 
@@ -82,7 +80,7 @@ def load_model(path) -> ModelFile:
     are left to the Dataset that scoring builds from the arrays.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh, decoding_errors(path):
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"corrupt model file: {exc}") from None

@@ -2,10 +2,15 @@ import csv
 import dataclasses
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import confmetric
 from confmetric import (
     ExperimentConfig,
     SynthConfig,
@@ -265,6 +270,34 @@ def probe_predict_threshold(text, tmp_path, capsys):
             "--out", str(tmp_path / "out.csv")]
 
 
+def probe_train_flag(flag, text, tmp_path, capsys):
+    data = make_data(tmp_path, capsys)
+    return ["train", "--data", str(data), flag, text,
+            "--out", str(tmp_path / "m.json"), "--trace", str(tmp_path / "out.csv")]
+
+
+def probe_undecodable(target, tmp_path, capsys):
+    """A command whose named input holds bytes that are not UTF-8."""
+    data, model = trained_model(tmp_path, capsys)
+    preds = tmp_path / "p.csv"
+    preds.write_text("id,confidence,label\n" + "".join(f"{i},0.5,0\n" for i in range(60)))
+    predict = ["predict", "--model", str(model), "--data", str(data),
+               "--confidence", "confidence", "--out", str(tmp_path / "out.csv")]
+    argv, bad = {
+        "train-csv": (["train", "--data", str(data), "--confidence", "confidence",
+                       "--out", str(tmp_path / "m2.json"),
+                       "--trace", str(tmp_path / "out.csv")], data),
+        "predict-csv": (predict, data),
+        "pred-file": (["evaluate", "--pred", str(preds), "--data", str(data),
+                       "--confidence", "confidence"], preds),
+        "model": (predict, model),
+    }[target]
+    text = bad.read_bytes()
+    cut = text.index(b"\n") + 1
+    bad.write_bytes(text[:cut] + b"\xff\xfe" + text[cut:])
+    return argv
+
+
 def probe_experiment(drop, tmp_path, capsys, **overrides):
     cfg = experiment_config(tmp_path, **overrides)
     raw = json.loads(cfg.read_text())
@@ -294,6 +327,15 @@ MALFORMED_INPUTS = {
     "predict-nan-threshold": (
         functools.partial(probe_predict_threshold, "nan"), "validation",
     ),
+    "predict-dash-inf-threshold": (
+        functools.partial(probe_predict_threshold, "-inf"), "validation",
+    ),
+    "train-non-integer-max-iters": (
+        functools.partial(probe_train_flag, "--max-iters", "abc"), "validation",
+    ),
+    "unknown-subcommand": (lambda tmp_path, capsys: ["bogus"], "validation"),
+    **{f"undecodable-{target}": (functools.partial(probe_undecodable, target), "validation")
+       for target in ("train-csv", "predict-csv", "pred-file", "model")},
     "unknown-synth-key": (
         functools.partial(probe_synth_config, {"n": 20, "m": 3, "m_informative": 1,
                                                "bogus": 1}),
@@ -327,6 +369,23 @@ def test_malformed_input_is_one_json_error(tmp_path, capsys, probe, error):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["predict", "--help"]])
+def test_help_prints_usage_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: confmetric") and err == ""
+
+
+def test_import_leaves_scipy_stats_out():
+    src = Path(confmetric.__file__).parents[1]
+    code = "import sys, confmetric.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stdout == "False\n"
 
 
 class TestInspect:

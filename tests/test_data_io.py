@@ -1,6 +1,12 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from confmetric import data_io
 from confmetric import (
     Dataset,
     DatasetSchema,
@@ -86,6 +92,150 @@ class TestLoadCsv:
         p = self.write(tmp_path, "f0,label\n")
         with pytest.raises(ValidationError, match="no data rows"):
             load_csv(p, DatasetSchema(["f0"], "label"))
+
+    @pytest.mark.parametrize("text", ["", "f0,label\n", "f0,label\n\n\n"],
+                             ids=["empty", "header-only", "blank-lines"])
+    def test_no_rows_leaks_no_warning(self, tmp_path, text):
+        p = self.write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                load_csv(p, DatasetSchema(["f0"], "label"))
+
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_bytes(b"f0,label\n1.0,1\n\xff\xfe,0\n")
+        with pytest.raises(ValidationError, match=r"data\.csv is not UTF-8 text"):
+            load_csv(p, DatasetSchema(["f0"], "label"))
+
+
+def read_both(path, *args):
+    """read_columns as it runs, and with the row parser alone: each a tuple
+    of arrays and lists, or the (type, text) of what it raised."""
+    outcomes = []
+    for fast in (data_io._read_fast, lambda *a: None):
+        with mock.patch.object(data_io, "_read_fast", fast):
+            try:
+                outcomes.append(data_io.read_columns(path, *args))
+            except Exception as exc:  # the parity is in what is raised, too
+                outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def assert_same(fast, slow):
+    if isinstance(slow[0], type):
+        assert fast == slow
+        return
+    assert not isinstance(fast[0], type), fast
+    for a, b in zip(fast[:3], slow[:3]):
+        if b is None:
+            assert a is None
+        else:  # bit for bit: -0.0 and 0.0 differ
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert fast[3] == slow[3]
+
+
+def quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+def must_quote(text):
+    return any(ch in text for ch in ',"\r\n') or text.startswith(" ")
+
+
+NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-10**6, 10**6).map(str))
+ODD_NUMBERS = [
+    "1_000", "\u0661\u0662", "nan", "-nan", "inf", "Infinity", "-inf", "1e500", "-0.0",
+    "", " ", "#1", "1#", " 1.5 ", "\t2\t", "\u00a03", "4\u2028", "0x10", "1e", ".5", "+7",
+    "1\x1c", "\x1f2", "3\x00", "a", '1"5',
+]
+ODD_LABELS = ["1.0", " 1", "1 ", "2", "", "01", "1\x00", "\u0661"]
+ODD_CONFIDENCES = ["", "1.5", "-0.0", "nan", " 0.25", "1e-400"]
+IDS = st.text(st.sampled_from('ab,"\n\r \x00\u00e9'), max_size=4)
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text with the columns f0, f1, label, confidence and id in any
+    order, perhaps with a repeated and an extra column. The rows are well
+    formed but for up to two odd cells and perhaps one line that is blank,
+    whitespace alone, short or long."""
+    names = draw(st.permutations(["f0", "f1", "label", "confidence", "id", "x"]))
+    if draw(st.booleans()):
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
+    kinds = ["f" if name.startswith("f") else name for name in names]
+    good = {"f": NUMBERS, "label": st.sampled_from(["0", "1"]),
+            "confidence": st.floats(0.0, 1.0).map(repr), "id": IDS, "x": IDS}
+    odd = {"f": st.sampled_from(ODD_NUMBERS), "label": st.sampled_from(ODD_LABELS),
+           "confidence": st.sampled_from(ODD_CONFIDENCES), "id": IDS, "x": IDS}
+    rows = [[draw(good[k]) for k in kinds] for _ in range(draw(st.integers(0, 5)))]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        r = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(kinds) - 1))
+        rows[r][j] = draw(odd[kinds[j]])
+    edit = draw(st.sampled_from(["none"] * 4 + ["blank", "space", "short", "long"]))
+    if rows and edit != "none":
+        r = draw(st.integers(0, len(rows) - 1))
+        if edit == "short":
+            rows[r] = rows[r][:draw(st.integers(1, len(kinds) - 1))]
+        elif edit == "long":
+            rows[r] = rows[r] + ["9"]
+        else:  # a line as it stands: empty, or whitespace alone
+            line = "" if edit == "blank" else draw(st.sampled_from([" ", "\t", '""']))
+            rows.insert(r, line)
+
+    def cell(text):
+        return quoted(text) if must_quote(text) or draw(st.integers(0, 9)) == 0 else text
+
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(quoted(n) if draw(st.booleans()) else n for n in names)]
+    lines += [row if isinstance(row, str) else ",".join(map(cell, row)) for row in rows]
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+class TestReadColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_files(), label=st.sampled_from([None, "label"]),
+           confidence=st.sampled_from([None, "confidence"]),
+           id_column=st.sampled_from([None, "id"]),
+           features=st.sampled_from([["f0"], ["f1", "f0"], ["f0", "f1"]]))
+    def test_fast_path_equals_row_parser(self, tmp_path_factory, text, label,
+                                         confidence, id_column, features):
+        path = tmp_path_factory.getbasetemp() / "parity.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast, slow = read_both(path, features, label, confidence, id_column)
+        assert_same(fast, slow)
+
+    @pytest.mark.parametrize("column, text", [
+        *(("f1", t) for t in ODD_NUMBERS),
+        *(("label", t) for t in ODD_LABELS),
+        *(("confidence", t) for t in ODD_CONFIDENCES),
+    ])
+    def test_each_odd_cell_alone(self, tmp_path, column, text):
+        names = ["f0", "f1", "label", "confidence", "id"]
+        rows = [["0.5", "-1", "1", "0.75", "a"], ["2", "3e-2", "0", "0.5", "b"]]
+        rows[1][names.index(column)] = quoted(text) if must_quote(text) else text
+        p = tmp_path / "data.csv"
+        p.write_text("\n".join(",".join(r) for r in [names, *rows]) + "\n")
+        fast, slow = read_both(p, ["f0", "f1"], "label", "confidence", "id")
+        assert_same(fast, slow)
+
+    def test_fast_path_serves_well_formed_files(self, tmp_path):
+        # quoting, CRLF, blank lines, spaces around numbers and a repeated
+        # header name (its last column counts) need no row parser
+        p = tmp_path / "data.csv"
+        p.write_text('f0,"f1",label,f0,confidence,id\r\n'
+                     '9,1.5,1,-2.5, 0.25,"a,b"\r\n'
+                     '\r\n'
+                     '9," 2e-3 ",0,10,0.5,"say ""hi"""\r\n', newline="")
+        with mock.patch.object(data_io, "_read_slow", side_effect=AssertionError):
+            X, y, c, ids = data_io.read_columns(p, ["f0", "f1"], "label",
+                                                "confidence", "id")
+        assert X.tolist() == [[-2.5, 1.5], [10.0, 0.002]]
+        assert X.flags.c_contiguous
+        assert (y.tolist(), c.tolist()) == ([1, 0], [0.25, 0.5])
+        assert ids == ["a,b", 'say "hi"']
 
 
 class TestRoundTrip:

@@ -1,6 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
+from confmetric import evaluate
 from confmetric import (
     EvalReport,
     UndefinedMetricError,
@@ -71,6 +77,27 @@ class TestAuroc:
         assert auroc(np.exp(5 * scores), labels) == pytest.approx(
             auroc(scores, labels), abs=1e-12
         )
+
+
+    def test_nan_score_gives_nan(self):
+        assert math.isnan(auroc([0.1, float("nan"), 0.8, 0.9], [0, 0, 1, 1]))
+
+
+# a small pool forces ties, and -0.0 ties with 0.0
+TIED = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(TIED, st.floats(allow_nan=False)), min_size=1,
+                       max_size=60),
+       nan_at=st.one_of(st.none(), st.integers(0, 59)))
+def test_midranks_equal_scipy_rankdata(values, nan_at):
+    x = np.array(values, dtype=np.float64)
+    if nan_at is not None:
+        x[nan_at % len(x)] = np.nan
+    ranks, expected = evaluate._midranks(x), rankdata(x)
+    assert ranks.dtype == expected.dtype
+    assert np.array_equal(ranks, expected, equal_nan=True)
 
 
 class TestMatrixDiagnostics:

@@ -50,6 +50,25 @@ class TestRoundTrip:
         assert back.train_config == model.train_config
         assert back.fingerprint == model.fingerprint
 
+    def test_file_is_what_json_dump_writes(self, tmp_path):
+        # the C encoder writes the bytes the pure-Python one wrote, floats by repr
+        model = sample_model(np.random.default_rng(3))
+        path = tmp_path / "m.json"
+        save_model(path, model)
+        payload = {
+            "format_version": 1,
+            "fingerprint": model.fingerprint,
+            "feature_columns": model.feature_columns,
+            "train_config": model.train_config,
+            "matrix": [[float(v) for v in row] for row in model.matrix],
+            "train_X": [[float(v) for v in row] for row in model.train_X],
+            "train_y": [int(v) for v in model.train_y],
+        }
+        with open(tmp_path / "ref.json", "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+            fh.write("\n")
+        assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
     def test_without_training_instances(self, tmp_path):
         model = ModelFile.create(np.eye(2), ["a", "b"], {"lambda1": 0.0})
         path = tmp_path / "m.json"
