@@ -7,7 +7,6 @@ JSON line to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -19,12 +18,13 @@ import numpy as np
 from .data_io import (
     DatasetSchema,
     SynthConfig,
-    decoding_errors,
     load_csv,
     read_columns,
+    read_header,
     read_json_config,
     save_csv,
     synth_generate,
+    write_csv,
 )
 from .dataset import Dataset
 from .errors import ConfmetricError, DegenerateScoreWarning, ValidationError
@@ -45,23 +45,15 @@ from .experiment import (
 )
 from .metric import positive_scores
 from .model_io import ModelFile, load_model, save_model
-from .optimize import TrainConfig, fit
+from .optimize import TraceRecord, TrainConfig, fit
 
 
 def _emit(obj):
     print(json.dumps(obj))
 
 
-def _read_header(path) -> list[str]:
-    with open(path, newline="", encoding="utf-8") as fh, decoding_errors(path):
-        header = next(csv.reader(fh), None)
-    if not header:
-        raise ValidationError(f"{path}: empty file or missing header")
-    return header
-
-
 def _schema_from_flags(path, args) -> DatasetSchema:
-    header = _read_header(path)
+    header = read_header(path)
     if args.features:
         features = [c.strip() for c in args.features.split(",")]
     else:
@@ -106,13 +98,8 @@ def cmd_train(args) -> int:
         train_y=data.y,
     )
     save_model(args.out, model)
-    with open(args.trace, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "total", "pushpull", "l1", "ranking",
-                        "step_size", "sparsity"])
-        for k, r in enumerate(trace.records):
-            writer.writerow([k, repr(r.total), repr(r.pushpull), repr(r.l1),
-                             repr(r.ranking), repr(r.step_size), repr(r.sparsity)])
+    write_csv(args.trace, ["iteration", *(f.name for f in dataclasses.fields(TraceRecord))],
+              ((k, *dataclasses.astuple(r)) for k, r in enumerate(trace.records)))
     final = trace.records[-1]
     _emit({
         "model": args.out,
@@ -151,11 +138,8 @@ def cmd_predict(args) -> int:
         else:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     labels = (scores > args.threshold).astype(int)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "confidence", "label"])
-        for i in range(len(scores)):
-            writer.writerow([ids[i], repr(float(scores[i])), int(labels[i])])
+    write_csv(args.out, ["id", "confidence", "label"],
+              zip(ids, map(float, scores), map(int, labels)))
     _emit({"predictions": args.out, "n": len(scores), "threshold": args.threshold,
            "degenerate": degenerate})
     return 0
@@ -217,22 +201,12 @@ def cmd_synth(args) -> int:
 def cmd_inspect(args) -> int:
     model = load_model(args.model)
     L = model.matrix
-    heat = heatmap_matrix(L)
-    with open(args.heatmap, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in heat:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(args.heatmap, None, heatmap_matrix(L).tolist())
     stats = feature_weight_stats(L)
     order = np.argsort(-stats.max_abs, kind="stable")
-    with open(args.stats, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "mean_abs_weight", "max_abs_weight"])
-        for j in order:
-            writer.writerow([
-                model.feature_columns[j],
-                repr(float(stats.mean_abs[j])),
-                repr(float(stats.max_abs[j])),
-            ])
+    write_csv(args.stats, ["feature", "mean_abs_weight", "max_abs_weight"],
+              zip([model.feature_columns[j] for j in order],
+                  stats.mean_abs[order].tolist(), stats.max_abs[order].tolist()))
     _emit({
         "heatmap": args.heatmap,
         "feature_stats": args.stats,

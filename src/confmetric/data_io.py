@@ -36,12 +36,37 @@ _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 @contextlib.contextmanager
 def decoding_errors(path):
-    """Turn bytes that are not UTF-8, met anywhere in the block, into a
+    """Turn bytes that are not UTF-8, or a row the csv module refuses (such as
+    a field past its size limit), met anywhere in the block, into a
     ValidationError naming the file."""
     try:
         yield
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path} is not a readable CSV file: {exc}") from None
+
+
+def read_header(path) -> list[str]:
+    """The header row of a CSV file; an empty file is a ValidationError."""
+    with open(path, newline="", encoding="utf-8") as fh, decoding_errors(path):
+        header = next(csv.reader(fh), None)
+    if not header:
+        raise ValidationError(f"{path}: empty file or missing header")
+    return header
+
+
+def write_csv(path, header, rows):
+    """Write a header row (None for none) and then each row of an iterable.
+
+    Cells are Python values: the csv module writes a float as its round-trip
+    repr and None as an empty cell.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_json_config(path, what: str) -> dict:
@@ -278,17 +303,12 @@ def save_csv(path, data: Dataset, schema: DatasetSchema | None = None) -> Datase
             label_column="label",
             confidence_column="confidence" if data.c is not None else None,
         )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = list(schema.feature_columns) + [schema.label_column]
-        if schema.confidence_column is not None:
-            header.append(schema.confidence_column)
-        writer.writerow(header)
-        for i in range(data.n):
-            row = [repr(float(v)) for v in data.X[i]] + [str(int(data.y[i]))]
-            if schema.confidence_column is not None:
-                row.append(repr(float(data.c[i])) if data.c is not None else "")
-            writer.writerow(row)
+    header = [*schema.feature_columns, schema.label_column]
+    tail = [data.y.tolist()]
+    if schema.confidence_column is not None:
+        header.append(schema.confidence_column)
+        tail.append(data.c.tolist() if data.c is not None else [None] * data.n)
+    write_csv(path, header, (x.tolist() + list(t) for x, t in zip(data.X, zip(*tail))))
     return schema
 
 

@@ -15,9 +15,8 @@ package's one query scorer, which ``predict`` also uses.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .data_io import (
     read_json_config,
     split,
     synth_generate,
+    write_csv,
 )
 from .dataset import Dataset
 from .errors import ConfmetricError, ValidationError
@@ -55,12 +55,8 @@ class ExperimentConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if not _integers(self.trials, self.seed, self.max_iters, *self.train_sizes):
-            raise ValidationError(
-                "trials, train_sizes, seed and max_iters must be integers"
-            )
-        if self.proj_dim is not None and not _integers(self.proj_dim):
-            raise ValidationError("proj_dim must be an integer")
+        if not _integers(self.trials, self.seed, *self.train_sizes):
+            raise ValidationError("trials, train_sizes and seed must be integers")
         if self.trials < 1:
             raise ValidationError("trials must be positive")
         sizes = list(self.train_sizes)
@@ -109,17 +105,20 @@ class ExperimentConfig:
                                   ("confidence_column", "id_column"), "data.csv")
                 csv_path = src["path"]
                 csv_schema = DatasetSchema(
-                    feature_columns=list(src["feature_columns"]),
+                    feature_columns=_json_array(src, "feature_columns",
+                                                "data.csv.feature_columns"),
                     label_column=src["label_column"],
                     confidence_column=src.get("confidence_column"),
                     id_column=src.get("id_column"),
                 )
             return cls(
                 trials=raw["trials"],
-                train_sizes=list(raw["train_sizes"]),
-                lambda1_grid=[float(v) for v in grid.get("lambda1", [])],
-                lambda2_grid=[float(v) for v in grid.get("lambda2", [])],
-                methods=list(raw.get("methods", list(METHODS))),
+                train_sizes=_json_array(raw, "train_sizes", "train_sizes"),
+                lambda1_grid=[float(v) for v in
+                              _json_array(grid, "lambda1", "hyper_grid.lambda1")],
+                lambda2_grid=[float(v) for v in
+                              _json_array(grid, "lambda2", "hyper_grid.lambda2")],
+                methods=_json_array(raw, "methods", "methods", METHODS),
                 seed=raw.get("seed", 0),
                 synth=synth,
                 csv_path=csv_path,
@@ -129,8 +128,17 @@ class ExperimentConfig:
             )
         except ValidationError:
             raise
-        except (TypeError, ValueError) as exc:  # e.g. a string where a list belongs
+        except (TypeError, ValueError) as exc:  # e.g. a string where a number belongs
             raise ValidationError(f"invalid experiment config: {exc}") from None
+
+
+def _json_array(obj: dict, key: str, name: str, default=()) -> list:
+    """A copy of obj[key] (default when absent), which must be a JSON array: a
+    string there would otherwise be read as a list of its characters."""
+    value = obj.get(key, list(default))
+    if not isinstance(value, list):
+        raise ValidationError(f"invalid experiment config: {name} must be a JSON array")
+    return list(value)
 
 
 @dataclass
@@ -145,12 +153,6 @@ class ResultRecord:
     sparsity: float | None = None
     row_rank: int | None = None
     error: str | None = None
-
-
-RESULT_FIELDS = [
-    "trial", "train_size", "method", "lambda1", "lambda2",
-    "val_auroc", "test_auroc", "sparsity", "row_rank", "error",
-]
 
 
 def _load_experiment_data(cfg: ExperimentConfig) -> Dataset:
@@ -201,20 +203,8 @@ def _run_cell(cfg, rec, train, val, test, trial_seed) -> ResultRecord:
     return rec
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_results_csv(path, records: list[ResultRecord]):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_FIELDS)
-        for r in records:
-            writer.writerow([_fmt(getattr(r, f)) for f in RESULT_FIELDS])
+    write_csv(path, [f.name for f in fields(ResultRecord)], map(astuple, records))
 
 
 def summarize(records: list[ResultRecord]) -> list[dict]:
@@ -246,17 +236,13 @@ def summarize(records: list[ResultRecord]) -> list[dict]:
 
 
 def write_summary_csv(path, rows: list[dict]):
-    fields = [
+    columns = [
         "train_size", "method", "n_trials", "n_ok",
         "mean_test_auroc", "ci95_test_auroc",
         "mean_sparsity", "ci95_sparsity",
         "mean_row_rank", "ci95_row_rank",
     ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_fmt(row.get(f)) for f in fields])
+    write_csv(path, columns, ([row[f] for f in columns] for row in rows))
 
 
 def load_config(path) -> ExperimentConfig:

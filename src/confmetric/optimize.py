@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data_io import _integers
 from .dataset import Dataset
 from .errors import (
     DegenerateClassError,
@@ -46,6 +47,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        dims = [self.proj_dim] if self.proj_dim is not None else []
+        if not _integers(self.max_iters, self.seed, *dims):
+            raise ValidationError("max_iters, proj_dim and seed must be integers")
         if not all(math.isfinite(v) and v >= 0 for v in (self.lambda1, self.lambda2)):
             raise ValidationError("lambda1 and lambda2 must be finite and nonnegative")
         if self.proj_dim is not None and self.proj_dim < 1:

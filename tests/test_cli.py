@@ -17,6 +17,8 @@ from confmetric import (
     TrainConfig,
     ValidationError,
     run_experiment,
+    save_csv,
+    synth_generate,
 )
 from confmetric.cli import main
 
@@ -298,6 +300,21 @@ def probe_undecodable(target, tmp_path, capsys):
     return argv
 
 
+def probe_oversized_field(where, tmp_path, capsys):
+    """A CSV with one field past the csv module's 131,072-character limit.
+
+    In the cell case a later nan sends the read to the row parser, which
+    meets the long field first."""
+    big = "x" * 200_000
+    data = tmp_path / "big.csv"
+    if where == "cell":
+        data.write_text(f"f0,label,note\n0.5,0,{big}\nnan,1,a\n0.1,0,b\n0.2,1,c\n")
+    else:
+        data.write_text(f"f0,label,{big}\n0.5,0,a\n0.3,1,b\n0.1,0,c\n0.2,1,d\n")
+    return ["train", "--data", str(data), "--features", "f0",
+            "--out", str(tmp_path / "m.json"), "--trace", str(tmp_path / "out.csv")]
+
+
 def probe_experiment(drop, tmp_path, capsys, **overrides):
     cfg = experiment_config(tmp_path, **overrides)
     raw = json.loads(cfg.read_text())
@@ -336,6 +353,9 @@ MALFORMED_INPUTS = {
     "unknown-subcommand": (lambda tmp_path, capsys: ["bogus"], "validation"),
     **{f"undecodable-{target}": (functools.partial(probe_undecodable, target), "validation")
        for target in ("train-csv", "predict-csv", "pred-file", "model")},
+    **{f"oversized-csv-{where}": (functools.partial(probe_oversized_field, where),
+                                  "validation")
+       for where in ("cell", "header")},
     "unknown-synth-key": (
         functools.partial(probe_synth_config, {"n": 20, "m": 3, "m_informative": 1,
                                                "bogus": 1}),
@@ -482,6 +502,32 @@ class TestExperiment:
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
 
+    def test_csv_source_matches_synth_source(self, tmp_path, capsys):
+        """The same data read from a CSV written by save_csv gives the same
+        results and summary bytes as generating it in-process."""
+        synth = {"n": 200, "m": 5, "m_informative": 2, "cluster_separation": 3.0,
+                 "confidence_noise": 0.05, "seed": 1}
+        data, _ = synth_generate(SynthConfig(**synth))
+        schema = save_csv(tmp_path / "data.csv", data)
+        sources = {
+            "synth": {"synth": synth},
+            "csv": {"csv": {"path": str(tmp_path / "data.csv"),
+                            "feature_columns": schema.feature_columns,
+                            "label_column": schema.label_column,
+                            "confidence_column": schema.confidence_column}},
+        }
+        outputs = {}
+        for name, source in sources.items():
+            cfg = experiment_config(tmp_path, trials=2, train_sizes=[20, 40], data=source)
+            results = tmp_path / f"results_{name}.csv"
+            summary = tmp_path / f"summary_{name}.csv"
+            code, out, _ = run(capsys, "experiment", "--config", str(cfg),
+                               "--out", str(results), "--summary", str(summary))
+            assert code == 0
+            assert json.loads(out)["errors"] == 0
+            outputs[name] = (results.read_bytes(), summary.read_bytes())
+        assert outputs["csv"] == outputs["synth"]
+
     def test_camel_cl_with_zero_grid_matches_camel(self, tmp_path):
         synth = SynthConfig(
             n=120, m=5, m_informative=2, cluster_separation=3.0,
@@ -516,10 +562,23 @@ class TestExperiment:
         (lambda r: r["hyper_grid"].update(lambda2=[float("nan")]), "finite and nonnegative"),
         (lambda r: r.update(train_sizes=[20, 20]), "strictly ascending"),
         (lambda r: r.update(methods=["camel", "camel"]), "distinct"),
+        (lambda r: r.update(train_sizes="15"), "train_sizes must be a JSON array"),
+        (lambda r: r.update(methods="camel"), "methods must be a JSON array"),
+        (lambda r: r["hyper_grid"].update(lambda1="14"),
+         "hyper_grid.lambda1 must be a JSON array"),
+        (lambda r: r["hyper_grid"].update(lambda2="05"),
+         "hyper_grid.lambda2 must be a JSON array"),
+        (lambda r: r.update(data={"csv": {"path": "x.csv", "feature_columns": "f0",
+                                          "label_column": "label"}}),
+         "data.csv.feature_columns must be a JSON array"),
+        (lambda r: r.update(max_iters=2.5), "must be integers"),
+        (lambda r: r.update(proj_dim=1.5), "must be integers"),
     ], ids=["no-train-sizes", "max-iter-typo", "grid-key", "synth-keys", "csv-keys",
             "two-sources", "string-trials", "int-train-sizes", "string-lambda",
             "negative-lambda1", "nan-lambda2", "duplicate-train-size",
-            "duplicate-method"])
+            "duplicate-method", "string-train-sizes", "string-methods",
+            "string-lambda1-grid", "string-lambda2-grid", "string-feature-columns",
+            "fractional-max-iters", "fractional-proj-dim"])
     def test_config_dict_rejected(self, tmp_path, edit, match):
         raw = json.loads(experiment_config(tmp_path).read_text())
         edit(raw)

@@ -238,6 +238,11 @@ class TestFit:
                     {"rel_tol": float("inf")}):
             with pytest.raises(ValidationError, match="finite"):
                 TrainConfig(**bad)
+        for bad in ({"max_iters": 2.5}, {"max_iters": True}, {"max_iters": "3"},
+                    {"proj_dim": 1.5}, {"proj_dim": False}, {"seed": 1.5},
+                    {"seed": True}):
+            with pytest.raises(ValidationError, match="must be integers"):
+                TrainConfig(**bad)
 
     def test_backtracking_defaults(self):
         import confmetric.optimize as optimize
