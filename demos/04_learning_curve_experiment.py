@@ -40,6 +40,6 @@ for r in records:
 
 print("\nlearning curves (mean over trials, +/- 95% interval):")
 for row in summarize(records):
-    print(f"  size {row['train_size']:3d} {row['method']:8s} "
-          f"AUROC {row['mean_test_auroc']:.4f} +/- {row['ci95_test_auroc']:.4f}  "
-          f"sparsity {row['mean_sparsity']:.3f}")
+    print(f"  size {row.train_size:3d} {row.method:8s} "
+          f"AUROC {row.mean_test_auroc:.4f} +/- {row.ci95_test_auroc:.4f}  "
+          f"sparsity {row.mean_sparsity:.3f}")

@@ -16,6 +16,7 @@ from .errors import (
 from .experiment import (
     ExperimentConfig,
     ResultRecord,
+    SummaryRow,
     run_experiment,
     summarize,
     write_results_csv,
@@ -66,7 +67,7 @@ __all__ = [
     "DimensionMismatchError", "MissingSupervisionError",
     "NumericalFailureError", "SchemaMismatchError", "UndefinedMetricError",
     "ValidationError",
-    "ExperimentConfig", "ResultRecord", "run_experiment",
+    "ExperimentConfig", "ResultRecord", "SummaryRow", "run_experiment",
     "summarize", "write_results_csv", "write_summary_csv",
     "EvalReport", "FeatureWeightStats", "auroc", "feature_weight_stats",
     "heatmap_matrix", "n_zero_rows", "report", "row_rank", "sparsity",

@@ -37,7 +37,7 @@ from .evaluate import (
     sparsity,
 )
 from .experiment import (
-    load_config,
+    ExperimentConfig,
     run_experiment,
     summarize,
     write_results_csv,
@@ -67,6 +67,13 @@ def _schema_from_flags(path, args) -> DatasetSchema:
     )
 
 
+def _config_from_args(cls, args):
+    """cls built by field name from the flags given; a flag left out is absent
+    from args (argparse.SUPPRESS), so the dataclass supplies its default."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+                  if hasattr(args, f.name)})
+
+
 def _add_schema_flags(p):
     p.add_argument("--label", default="label", help="label column name")
     p.add_argument("--confidence", default=None, help="confidence column name")
@@ -81,14 +88,7 @@ def _add_schema_flags(p):
 def cmd_train(args) -> int:
     schema = _schema_from_flags(args.data, args)
     data, _ = load_csv(args.data, schema)
-    cfg = TrainConfig(
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-        proj_dim=args.proj_dim,
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        seed=args.seed,
-    )
+    cfg = _config_from_args(TrainConfig, args)
     L, trace = fit(data, cfg)
     model = ModelFile.create(
         matrix=L,
@@ -165,7 +165,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = load_config(args.config)
+    cfg = ExperimentConfig.from_dict(read_json_config(args.config, "experiment config"))
     records = run_experiment(cfg)
     write_results_csv(args.out, records)
     rows = summarize(records)
@@ -183,15 +183,7 @@ def cmd_synth(args) -> int:
     if args.config:
         cfg = SynthConfig.from_dict(read_json_config(args.config, "synth config"))
     else:
-        cfg = SynthConfig(
-            n=args.n,
-            m=args.m,
-            m_informative=args.m_informative,
-            class_balance=args.balance,
-            cluster_separation=args.separation,
-            confidence_noise=args.noise,
-            seed=args.seed,
-        )
+        cfg = _config_from_args(SynthConfig, args)
     data, _ = synth_generate(cfg)
     save_csv(args.out, data)
     _emit({"data": args.out, "n": data.n, "m": data.m})
@@ -231,15 +223,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="fit a metric on a labeled CSV")
+    p = sub.add_parser("train", help="fit a metric on a labeled CSV",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--data", required=True)
     _add_schema_flags(p)
-    p.add_argument("--lambda1", type=float, default=0.0)
-    p.add_argument("--lambda2", type=float, default=0.0)
-    p.add_argument("--proj-dim", dest="proj_dim", type=int, default=None)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=500)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lambda1", type=float)
+    p.add_argument("--lambda2", type=float)
+    p.add_argument("--proj-dim", dest="proj_dim", type=int)
+    p.add_argument("--max-iters", dest="max_iters", type=int)
+    p.add_argument("--rel-tol", dest="rel_tol", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default="model.json")
     p.add_argument("--trace", default="trace.csv")
     p.set_defaults(func=cmd_train)
@@ -264,15 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", default="summary.csv")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
+    p = sub.add_parser("synth", help="generate a synthetic dataset CSV",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--config", default=None, help="JSON file of generator settings")
     p.add_argument("--n", type=int, default=400)
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--m-informative", dest="m_informative", type=int, default=2)
-    p.add_argument("--balance", type=float, default=0.5)
-    p.add_argument("--separation", type=float, default=2.0)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--balance", dest="class_balance", metavar="BALANCE", type=float)
+    p.add_argument("--separation", dest="cluster_separation", metavar="SEPARATION",
+                   type=float)
+    p.add_argument("--noise", dest="confidence_noise", metavar="NOISE", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default="data.csv")
     p.set_defaults(func=cmd_synth)
 

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import sys
 import warnings
 from dataclasses import MISSING, dataclass, fields
 
@@ -96,6 +97,27 @@ def _integers(*values) -> bool:
                for v in values)
 
 
+def _numbers(*values) -> bool:
+    """True when every value is a float or an int that float() can hold, not a bool."""
+    return all(isinstance(v, (float, np.floating))
+               or (_integers(v) and abs(v) <= sys.float_info.max) for v in values)
+
+
+def config_from_dict(cls, raw, what: str, extra=()):
+    """cls built by field name from the JSON object raw, which also holds the keys in
+    extra (read by the caller); a list field must be a JSON array."""
+    names = [f.name for f in fields(cls)]
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    check_config_keys(raw, [*required, *extra], names, what)
+    for f in fields(cls):
+        if str(f.type).startswith("list[") and not isinstance(raw.get(f.name, []), list):
+            raise ValidationError(f"{what}.{f.name} must be a JSON array")
+    try:
+        return cls(**{k: v for k, v in raw.items() if k in names})
+    except ValidationError as exc:
+        raise ValidationError(f"invalid {what}: {exc}") from None
+
+
 def _require_columns(header: list[str], columns):
     missing = [c for c in columns if c not in header]
     if missing:
@@ -130,11 +152,10 @@ class DatasetSchema:
     def __post_init__(self):
         if not self.feature_columns:
             raise ValidationError("feature_columns must be nonempty")
-        names = list(self.feature_columns) + [self.label_column]
-        if self.confidence_column is not None:
-            names.append(self.confidence_column)
-        if self.id_column is not None:
-            names.append(self.id_column)
+        names = [*self.feature_columns, self.label_column,
+                 *(c for c in (self.confidence_column, self.id_column) if c is not None)]
+        if not all(isinstance(c, str) for c in names):
+            raise ValidationError("schema column names must be strings")
         if len(names) != len(set(names)):
             raise ValidationError("schema column names must be distinct")
 
@@ -152,26 +173,23 @@ class SynthConfig:
     def __post_init__(self):
         if not _integers(self.n, self.m, self.m_informative, self.seed):
             raise ValidationError("n, m, m_informative and seed must be integers")
+        floats = (self.class_balance, self.cluster_separation, self.confidence_noise)
+        if not (_numbers(*floats) and all(math.isfinite(v) for v in floats)):
+            raise ValidationError("class_balance, cluster_separation and confidence_noise "
+                                  "must be finite numbers")
         if not 1 <= self.m_informative <= self.m:
             raise ValidationError("m_informative must lie in [1, m]")
         if self.n < 4:
             raise ValidationError("n must be at least 4")
         if not 0.0 < self.class_balance < 1.0:
             raise ValidationError("class_balance must lie in (0, 1)")
-        if self.cluster_separation < 0:
-            raise ValidationError("cluster_separation must be nonnegative")
-        if self.confidence_noise < 0:
-            raise ValidationError("confidence_noise must be nonnegative")
+        if min(self.seed, self.cluster_separation, self.confidence_noise) < 0:
+            raise ValidationError(
+                "seed, cluster_separation and confidence_noise must be nonnegative")
 
     @classmethod
     def from_dict(cls, raw, what: str = "synth config") -> "SynthConfig":
-        names = [f.name for f in fields(cls)]
-        required = [f.name for f in fields(cls) if f.default is MISSING]
-        check_config_keys(raw, required, names, what)
-        try:
-            return cls(**raw)
-        except TypeError as exc:  # e.g. a string where a number belongs
-            raise ValidationError(f"invalid {what}: {exc}") from None
+        return config_from_dict(cls, raw, what)
 
 
 def read_columns(path, features, label=None, confidence=None, id_column=None):

@@ -25,8 +25,8 @@ from .data_io import (
     SynthConfig,
     _integers,
     check_config_keys,
+    config_from_dict,
     load_csv,
-    read_json_config,
     split,
     synth_generate,
     write_csv,
@@ -47,12 +47,12 @@ class ExperimentConfig:
     lambda1_grid: list[float]
     lambda2_grid: list[float]
     methods: list[str]
-    seed: int
+    seed: int = 0
     synth: SynthConfig | None = None
     csv_path: str | None = None
     csv_schema: DatasetSchema | None = None
-    proj_dim: int | None = None
-    max_iters: int = 500
+    proj_dim: int | None = TrainConfig.proj_dim
+    max_iters: int = TrainConfig.max_iters
 
     def __post_init__(self):
         if not _integers(self.trials, self.seed, *self.train_sizes):
@@ -60,8 +60,9 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValidationError("trials must be positive")
         sizes = list(self.train_sizes)
-        if not sizes or sorted(set(sizes)) != sizes:
-            raise ValidationError("train_sizes must be nonempty and strictly ascending")
+        if not sizes or sorted(set(sizes)) != sizes or sizes[0] < 1:
+            raise ValidationError(
+                "train_sizes must be nonempty, positive and strictly ascending")
         if not self.lambda1_grid:
             raise ValidationError("lambda1 grid must be nonempty")
         if (not self.methods or any(m not in METHODS for m in self.methods)
@@ -73,7 +74,10 @@ class ExperimentConfig:
             raise ValidationError("lambda2 grid must be nonempty for camel_cl")
         if (self.synth is None) == (self.csv_path is None):
             raise ValidationError("exactly one data source (synth or csv) is required")
-        for method in self.methods:  # TrainConfig validates each grid cell
+        if self.csv_path is not None and not isinstance(self.csv_path, str):
+            raise ValidationError("the csv path must be a string")
+        # TrainConfig checks max_iters, proj_dim, seed and every grid cell, used or not
+        for method in METHODS:
             self.train_configs(method, self.seed)
 
     def train_configs(self, method: str, seed: int) -> list[TrainConfig]:
@@ -91,44 +95,28 @@ class ExperimentConfig:
         check_config_keys(raw, ("trials", "train_sizes", "data"),
                           ("hyper_grid", "methods", "seed", "proj_dim", "max_iters"),
                           "experiment config")
+        grid = raw.get("hyper_grid", {})
+        check_config_keys(grid, (), ("lambda1", "lambda2"), "hyper_grid")
+        data = raw["data"]
+        check_config_keys(data, (), ("synth", "csv"), "data")
+        sources = {}
+        if "synth" in data:
+            sources["synth"] = SynthConfig.from_dict(data["synth"], "data.synth")
+        if "csv" in data:
+            sources["csv_schema"] = config_from_dict(DatasetSchema, data["csv"], "data.csv",
+                                                     extra=("path",))
+            sources["csv_path"] = data["csv"]["path"]
         try:
-            grid = raw.get("hyper_grid", {})
-            check_config_keys(grid, (), ("lambda1", "lambda2"), "hyper_grid")
-            data = raw["data"]
-            check_config_keys(data, (), ("synth", "csv"), "data")
-            synth = csv_path = csv_schema = None
-            if "synth" in data:
-                synth = SynthConfig.from_dict(data["synth"], "data.synth")
-            if "csv" in data:
-                src = data["csv"]
-                check_config_keys(src, ("path", "feature_columns", "label_column"),
-                                  ("confidence_column", "id_column"), "data.csv")
-                csv_path = src["path"]
-                csv_schema = DatasetSchema(
-                    feature_columns=_json_array(src, "feature_columns",
-                                                "data.csv.feature_columns"),
-                    label_column=src["label_column"],
-                    confidence_column=src.get("confidence_column"),
-                    id_column=src.get("id_column"),
-                )
             return cls(
                 trials=raw["trials"],
                 train_sizes=_json_array(raw, "train_sizes", "train_sizes"),
-                lambda1_grid=[float(v) for v in
-                              _json_array(grid, "lambda1", "hyper_grid.lambda1")],
-                lambda2_grid=[float(v) for v in
-                              _json_array(grid, "lambda2", "hyper_grid.lambda2")],
+                lambda1_grid=_json_array(grid, "lambda1", "hyper_grid.lambda1"),
+                lambda2_grid=_json_array(grid, "lambda2", "hyper_grid.lambda2"),
                 methods=_json_array(raw, "methods", "methods", METHODS),
-                seed=raw.get("seed", 0),
-                synth=synth,
-                csv_path=csv_path,
-                csv_schema=csv_schema,
-                proj_dim=raw.get("proj_dim"),
-                max_iters=raw.get("max_iters", 500),
+                **sources,
+                **{k: raw[k] for k in ("seed", "proj_dim", "max_iters") if k in raw},
             )
-        except ValidationError:
-            raise
-        except (TypeError, ValueError) as exc:  # e.g. a string where a number belongs
+        except ValidationError as exc:
             raise ValidationError(f"invalid experiment config: {exc}") from None
 
 
@@ -137,7 +125,7 @@ def _json_array(obj: dict, key: str, name: str, default=()) -> list:
     string there would otherwise be read as a list of its characters."""
     value = obj.get(key, list(default))
     if not isinstance(value, list):
-        raise ValidationError(f"invalid experiment config: {name} must be a JSON array")
+        raise ValidationError(f"{name} must be a JSON array")
     return list(value)
 
 
@@ -157,10 +145,8 @@ class ResultRecord:
 
 def _load_experiment_data(cfg: ExperimentConfig) -> Dataset:
     if cfg.synth is not None:
-        data, _ = synth_generate(cfg.synth)
-        return data
-    data, _ = load_csv(cfg.csv_path, cfg.csv_schema)
-    return data
+        return synth_generate(cfg.synth)[0]
+    return load_csv(cfg.csv_path, cfg.csv_schema)[0]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
@@ -188,15 +174,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRecord]:
 def _run_cell(cfg, rec, train, val, test, trial_seed) -> ResultRecord:
     use_conf = rec.method == "camel_cl"
     train_data = train if use_conf else train.without_confidences()
-    best = None  # (val_auroc, L, l1, l2); first cell wins ties
+    best = None  # (val_auroc, L, TrainConfig); first cell wins ties
     for tc in cfg.train_configs(rec.method, trial_seed):
         L, _ = fit(train_data, tc)
         val_auc = auroc(positive_scores(L, train_data, val.X), val.y)
         if best is None or val_auc > best[0]:
-            best = (val_auc, L, tc.lambda1, tc.lambda2)
-    val_auc, L, l1, l2 = best
-    rec.lambda1, rec.lambda2 = l1, l2
-    rec.val_auroc = val_auc
+            best = (val_auc, L, tc)
+    rec.val_auroc, L, tc = best
+    rec.lambda1, rec.lambda2 = float(tc.lambda1), float(tc.lambda2)  # a grid cell 4 is 4.0
     rec.test_auroc = auroc(positive_scores(L, train, test.X), test.y)
     rec.sparsity = sparsity(L)
     rec.row_rank = row_rank(L)
@@ -207,43 +192,39 @@ def write_results_csv(path, records: list[ResultRecord]):
     write_csv(path, [f.name for f in fields(ResultRecord)], map(astuple, records))
 
 
-def summarize(records: list[ResultRecord]) -> list[dict]:
+@dataclass
+class SummaryRow:
+    """One summary.csv row; a metric's mean and ci95 are None if no trial succeeded."""
+    train_size: int
+    method: str
+    n_trials: int
+    n_ok: int
+    mean_test_auroc: float | None
+    ci95_test_auroc: float | None
+    mean_sparsity: float | None
+    ci95_sparsity: float | None
+    mean_row_rank: float | None
+    ci95_row_rank: float | None
+
+
+def summarize(records: list[ResultRecord]) -> list[SummaryRow]:
     """Mean and 95% normal-approximation interval per (train_size, method)."""
     cells: dict[tuple[int, str], list[ResultRecord]] = {}
     for r in records:
         cells.setdefault((r.train_size, r.method), []).append(r)
     rows = []
-    for (size, method) in sorted(cells, key=lambda k: (k[0], k[1])):
-        ok = [r for r in cells[(size, method)] if r.error is None]
-        row = {
-            "train_size": size,
-            "method": method,
-            "n_trials": len(cells[(size, method)]),
-            "n_ok": len(ok),
-        }
-        for metric_name in ("test_auroc", "sparsity", "row_rank"):
-            vals = np.array([getattr(r, metric_name) for r in ok], dtype=np.float64)
+    for (size, method), cell in sorted(cells.items()):
+        ok = [r for r in cell if r.error is None]
+        stats = {}
+        for name in ("test_auroc", "sparsity", "row_rank"):
+            vals = np.array([getattr(r, name) for r in ok], dtype=np.float64)
+            stats[f"mean_{name}"] = stats[f"ci95_{name}"] = None
             if len(vals):
-                mean = float(vals.mean())
                 se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-                row[f"mean_{metric_name}"] = mean
-                row[f"ci95_{metric_name}"] = 1.96 * se
-            else:
-                row[f"mean_{metric_name}"] = None
-                row[f"ci95_{metric_name}"] = None
-        rows.append(row)
+                stats[f"mean_{name}"], stats[f"ci95_{name}"] = float(vals.mean()), 1.96 * se
+        rows.append(SummaryRow(size, method, len(cell), len(ok), **stats))
     return rows
 
 
-def write_summary_csv(path, rows: list[dict]):
-    columns = [
-        "train_size", "method", "n_trials", "n_ok",
-        "mean_test_auroc", "ci95_test_auroc",
-        "mean_sparsity", "ci95_sparsity",
-        "mean_row_rank", "ci95_row_rank",
-    ]
-    write_csv(path, columns, ([row[f] for f in columns] for row in rows))
-
-
-def load_config(path) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(read_json_config(path, "experiment config"))
+def write_summary_csv(path, rows: list[SummaryRow]):
+    write_csv(path, [f.name for f in fields(SummaryRow)], map(astuple, rows))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_io import _integers
+from .data_io import _integers, _numbers
 from .dataset import Dataset
 from .errors import (
     DegenerateClassError,
@@ -50,6 +50,8 @@ class TrainConfig:
         dims = [self.proj_dim] if self.proj_dim is not None else []
         if not _integers(self.max_iters, self.seed, *dims):
             raise ValidationError("max_iters, proj_dim and seed must be integers")
+        if not _numbers(self.lambda1, self.lambda2, self.rel_tol):
+            raise ValidationError("lambda1, lambda2 and rel_tol must be numbers")
         if not all(math.isfinite(v) and v >= 0 for v in (self.lambda1, self.lambda2)):
             raise ValidationError("lambda1 and lambda2 must be finite and nonnegative")
         if self.proj_dim is not None and self.proj_dim < 1:
@@ -58,6 +60,8 @@ class TrainConfig:
             raise ValidationError("max_iters must be positive")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValidationError("rel_tol must be finite and positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,15 @@ import pytest
 import confmetric
 from confmetric import (
     ExperimentConfig,
+    ResultRecord,
     SynthConfig,
     TrainConfig,
     ValidationError,
     run_experiment,
     save_csv,
+    summarize,
     synth_generate,
+    write_summary_csv,
 )
 from confmetric.cli import main
 
@@ -278,6 +281,11 @@ def probe_train_flag(flag, text, tmp_path, capsys):
             "--out", str(tmp_path / "m.json"), "--trace", str(tmp_path / "out.csv")]
 
 
+def probe_synth_flag(flag, text, tmp_path, capsys):
+    return ["synth", "--n", "60", "--m", "3", "--m-informative", "1", flag, text,
+            "--out", str(tmp_path / "out.csv")]
+
+
 def probe_undecodable(target, tmp_path, capsys):
     """A command whose named input holds bytes that are not UTF-8."""
     data, model = trained_model(tmp_path, capsys)
@@ -375,6 +383,18 @@ MALFORMED_INPUTS = {
                           hyper_grid={"lambda1": [float("nan")], "lambda2": [0.0]}),
         "validation",
     ),
+    "train-negative-seed": (
+        functools.partial(probe_train_flag, "--seed", "-1"), "validation",
+    ),
+    "synth-negative-seed": (
+        functools.partial(probe_synth_flag, "--seed", "-1"), "validation",
+    ),
+    "synth-inf-noise": (
+        functools.partial(probe_synth_flag, "--noise", "inf"), "validation",
+    ),
+    "experiment-negative-seed": (
+        functools.partial(probe_experiment, [], seed=-1), "validation",
+    ),
 }
 
 
@@ -389,6 +409,33 @@ def test_malformed_input_is_one_json_error(tmp_path, capsys, probe, error):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("flag, text, match", [
+    ("--seed", "-1", "seed, cluster_separation and confidence_noise must be nonnegative"),
+    ("--noise", "inf", "must be finite numbers"),
+    ("--separation", "nan", "must be finite numbers"),
+    ("--balance", "nan", "must be finite numbers"),
+])
+def test_synth_flag_rejected_by_synth_config(tmp_path, capsys, flag, text, match):
+    code, out, err = run(capsys, *probe_synth_flag(flag, text, tmp_path, capsys))
+    assert (code, out) == (1, "")
+    assert match in json.loads(err)["message"]
+
+
+def test_flag_defaults_are_config_defaults(tmp_path, capsys):
+    """A flag left out takes its config field's default, so train and synth
+    without flags match the dataclasses built with no arguments."""
+    data = tmp_path / "data.csv"
+    assert run(capsys, "synth", "--out", str(data))[0] == 0
+    expected = tmp_path / "expected.csv"
+    save_csv(expected, synth_generate(SynthConfig(n=400, m=10, m_informative=2))[0])
+    assert data.read_bytes() == expected.read_bytes()
+    model = tmp_path / "model.json"
+    assert run(capsys, "train", "--data", str(data), "--confidence", "confidence",
+               "--out", str(model), "--trace", str(tmp_path / "trace.csv"))[0] == 0
+    saved = json.loads(model.read_text())["train_config"]
+    assert saved == dataclasses.asdict(TrainConfig())
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["predict", "--help"]])
@@ -573,17 +620,72 @@ class TestExperiment:
          "data.csv.feature_columns must be a JSON array"),
         (lambda r: r.update(max_iters=2.5), "must be integers"),
         (lambda r: r.update(proj_dim=1.5), "must be integers"),
+        (lambda r: r.update(seed=-1), "seed must be nonnegative"),
+        (lambda r: r["hyper_grid"].update(lambda1=["14", True]), "must be numbers"),
+        (lambda r: r["hyper_grid"].update(lambda1=[True]), "must be numbers"),
+        (lambda r: r["hyper_grid"].update(lambda2=[None]), "must be numbers"),
+        (lambda r: r["hyper_grid"].update(lambda1=[10**400]), "must be numbers"),
+        (lambda r: r.update(methods=["camel"], hyper_grid={"lambda1": [1.0],
+                                                          "lambda2": ["x"]}),
+         "must be numbers"),
+        (lambda r: r.update(data={"csv": {"path": True, "feature_columns": ["f0"],
+                                          "label_column": "label"}}),
+         "path must be a string"),
+        (lambda r: r.update(data={"csv": {"path": 0, "feature_columns": ["f0"],
+                                          "label_column": "label"}}),
+         "path must be a string"),
+        (lambda r: r.update(data={"csv": {"path": "x.csv", "feature_columns": [0],
+                                          "label_column": "label"}}),
+         "names must be strings"),
+        (lambda r: r.update(data={"csv": {"path": "x.csv", "feature_columns": ["f0"],
+                                          "label_column": "label",
+                                          "confidence_column": 1}}),
+         "names must be strings"),
+        (lambda r: r.update(train_sizes=[0, 10]), "positive and strictly ascending"),
+        (lambda r: r.update(train_sizes=[-3, 10]), "positive and strictly ascending"),
+        (lambda r: r["data"]["synth"].update(confidence_noise=float("inf")),
+         "invalid data.synth: .* must be finite numbers"),
     ], ids=["no-train-sizes", "max-iter-typo", "grid-key", "synth-keys", "csv-keys",
             "two-sources", "string-trials", "int-train-sizes", "string-lambda",
             "negative-lambda1", "nan-lambda2", "duplicate-train-size",
             "duplicate-method", "string-train-sizes", "string-methods",
             "string-lambda1-grid", "string-lambda2-grid", "string-feature-columns",
-            "fractional-max-iters", "fractional-proj-dim"])
+            "fractional-max-iters", "fractional-proj-dim", "negative-seed",
+            "string-lambda-cell", "bool-lambda-cell", "null-lambda2-cell", "huge-int-lambda-cell",
+            "unused-string-lambda2-cell", "bool-csv-path", "int-csv-path",
+            "int-feature-column", "int-confidence-column", "zero-train-size",
+            "negative-train-size", "inf-synth-noise"])
     def test_config_dict_rejected(self, tmp_path, edit, match):
         raw = json.loads(experiment_config(tmp_path).read_text())
         edit(raw)
         with pytest.raises(ValidationError, match=match):
             ExperimentConfig.from_dict(raw)
+
+    def test_integer_grid_cells_written_as_floats(self, tmp_path, capsys):
+        cfg = experiment_config(tmp_path, trials=1, train_sizes=[20],
+                                hyper_grid={"lambda1": [1, 4], "lambda2": [0]})
+        results = tmp_path / "results.csv"
+        code, _, _ = run(capsys, "experiment", "--config", str(cfg), "--out", str(results),
+                         "--summary", str(tmp_path / "summary.csv"))
+        assert code == 0
+        with open(results) as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["lambda1"] for r in rows} <= {"1.0", "4.0"}
+        assert {r["lambda2"] for r in rows} == {"0.0"}
+
+    def test_summary_columns(self, tmp_path):
+        records = [ResultRecord(trial=t, train_size=10, method="camel", test_auroc=0.75,
+                                sparsity=0.5, row_rank=2) for t in range(2)]
+        records.append(ResultRecord(trial=0, train_size=10, method="camel_cl",
+                                    error="degenerate-class: x"))
+        summary = tmp_path / "summary.csv"
+        write_summary_csv(summary, summarize(records))
+        assert summary.read_text().splitlines() == [
+            "train_size,method,n_trials,n_ok,mean_test_auroc,ci95_test_auroc,"
+            "mean_sparsity,ci95_sparsity,mean_row_rank,ci95_row_rank",
+            "10,camel,2,2,0.75,0.0,0.5,0.0,2.0,0.0",
+            "10,camel_cl,1,0,,,,,,",
+        ]
 
     def test_invalid_config_rejected(self, tmp_path, capsys):
         cfg = experiment_config(tmp_path, trials=0)

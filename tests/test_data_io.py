@@ -31,6 +31,13 @@ class TestSchema:
         with pytest.raises(ValidationError):
             DatasetSchema([], "label")
 
+    @pytest.mark.parametrize("names", [
+        ([0], "label"), (["a"], 1), (["a"], "label", True), (["a"], "label", None, 2),
+    ])
+    def test_non_string_names_rejected(self, names):
+        with pytest.raises(ValidationError, match="names must be strings"):
+            DatasetSchema(*names)
+
 
 class TestLoadCsv:
     def write(self, tmp_path, text):
@@ -332,6 +339,16 @@ class TestSynthGenerate:
         ({"n": "20", "m": 3, "m_informative": 1}, "must be integers"),
         ({"n": 20.5, "m": 3, "m_informative": 1}, "must be integers"),
         ({"n": 20, "m": 3, "m_informative": 1, "class_balance": "x"}, "invalid synth"),
+        ({"n": 20, "m": 3, "m_informative": 1, "seed": -1}, "must be nonnegative"),
+        ({"n": 20, "m": 3, "m_informative": 1, "cluster_separation": True},
+         "finite numbers"),
+        ({"n": 20, "m": 3, "m_informative": 1, "cluster_separation": float("nan")},
+         "finite numbers"),
+        ({"n": 20, "m": 3, "m_informative": 1, "confidence_noise": float("inf")},
+         "finite numbers"),
+        ({"n": 20, "m": 3, "m_informative": 1, "class_balance": None}, "finite numbers"),
+        ({"n": 20, "m": 3, "m_informative": 1, "cluster_separation": 10**400},
+         "finite numbers"),
     ])
     def test_from_dict_rejects(self, raw, match):
         with pytest.raises(ValidationError, match=match):

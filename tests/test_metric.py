@@ -267,6 +267,31 @@ def test_kernel_matrix_bit_identical_property(n, m, m_prime, log_scale, seed):
     assert np.array_equal(kernel_matrix(L, X), seed_order_kernel(L, X))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    m=st.integers(1, 5),
+    m_prime=st.integers(1, 5),
+    q=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_positive_scores_label_flip_and_row_order_property(n, m, m_prime, q, seed):
+    """Flipping every training label scores 1 - s; permuting the training rows
+    changes nothing. Unit-scale L on unit-scale data keeps every squared
+    distance far below exp's underflow, so no row is degenerate."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, m))
+    y = rng.permutation(np.arange(n) % 2)  # both classes present
+    L = rng.normal(size=(m_prime, m)) / np.sqrt(m)
+    Q = rng.normal(size=(q, m))
+    scores = positive_scores(L, Dataset(X, y), Q)
+    flipped = positive_scores(L, Dataset(X, 1 - y), Q)
+    np.testing.assert_allclose(flipped, 1.0 - scores, rtol=0, atol=1e-12)
+    perm = rng.permutation(n)
+    permuted = positive_scores(L, Dataset(X[perm], y[perm]), Q)
+    np.testing.assert_allclose(permuted, scores, rtol=0, atol=1e-12)
+
+
 class TestClassSimilarityQuery:
     """The per-class query means, read through positive_scores' s1 / (s0 + s1)."""
 

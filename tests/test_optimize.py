@@ -244,6 +244,14 @@ class TestFit:
             with pytest.raises(ValidationError, match="must be integers"):
                 TrainConfig(**bad)
 
+    def test_non_number_settings_rejected(self):
+        for bad in ({"lambda1": True}, {"lambda2": "0.5"}, {"rel_tol": True},
+                    {"lambda1": None}):
+            with pytest.raises(ValidationError, match="must be numbers"):
+                TrainConfig(**bad)
+        with pytest.raises(ValidationError, match="seed must be nonnegative"):
+            TrainConfig(seed=-1)
+
     def test_backtracking_defaults(self):
         import confmetric.optimize as optimize
 
