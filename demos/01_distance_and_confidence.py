@@ -13,7 +13,7 @@ from confmetric import (
     Dataset,
     confidence_score,
     kernel_similarity,
-    predict,
+    positive_scores,
     similarity_scores,
     squared_distance,
 )
@@ -47,13 +47,14 @@ for i in range(data.n):
     c1 = confidence_score(S[i, 1], S[i, 0])
     print(f"instance {i} (label {y[i]}): confidence in class 1 = {c1:.4f}")
 
-# Prediction thresholds that confidence at 0.5 against the training set.
+# A new query is scored against the training set (no self-exclusion), and
+# its label is 1 when that confidence strictly exceeds 0.5.
 query = np.array([0.05, 0.2])
-pred = predict(L, data, query)
-print(f"\nquery {query} -> label {pred.label}, confidence {pred.confidence:.4f}")
+c1 = positive_scores(L, data, query)[0]
+print(f"\nquery {query} -> label {int(c1 > 0.5)}, confidence {c1:.4f}")
 
 # A map that ignores the second coordinate still separates this problem,
 # because the classes already differ in the first coordinate.
 L_sparse = np.array([[1.0, 0.0]])
-pred = predict(L_sparse, data, query)
-print(f"1-D projection -> label {pred.label}, confidence {pred.confidence:.4f}")
+c1 = positive_scores(L_sparse, data, query)[0]
+print(f"1-D projection -> label {int(c1 > 0.5)}, confidence {c1:.4f}")

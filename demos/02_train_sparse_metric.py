@@ -15,7 +15,9 @@ from confmetric import (
     TrainConfig,
     feature_weight_stats,
     fit,
-    report,
+    n_zero_rows,
+    row_rank,
+    sparsity,
     synth_generate,
 )
 
@@ -37,9 +39,8 @@ print("loss trajectory (first 5, last 1):",
       [round(r.total, 3) for r in trace.records[:5]],
       "...", round(trace.records[-1].total, 3))
 
-stats = report(L)
-print(f"\nsparsity (fraction of exact zeros): {stats.sparsity:.3f}")
-print(f"row rank: {stats.row_rank}, all-zero rows: {stats.n_zero_rows}")
+print(f"\nsparsity (fraction of exact zeros): {sparsity(L):.3f}")
+print(f"row rank: {row_rank(L)}, all-zero rows: {n_zero_rows(L)}")
 
 # Column-wise weight mass: informative features are 0 and 1.
 w = feature_weight_stats(L)

@@ -23,24 +23,21 @@ from .experiment import (
     write_summary_csv,
 )
 from .evaluate import (
-    EvalReport,
     FeatureWeightStats,
     auroc,
     feature_weight_stats,
     heatmap_matrix,
     n_zero_rows,
-    report,
     row_rank,
     sparsity,
 )
 from .metric import (
-    Prediction,
     class_similarity,
     confidence_score,
     kernel_matrix,
     kernel_similarity,
     positive_scores,
-    predict,
+    score_rows,
     similarity_scores,
     squared_distance,
 )
@@ -69,10 +66,10 @@ __all__ = [
     "ValidationError",
     "ExperimentConfig", "ResultRecord", "SummaryRow", "run_experiment",
     "summarize", "write_results_csv", "write_summary_csv",
-    "EvalReport", "FeatureWeightStats", "auroc", "feature_weight_stats",
-    "heatmap_matrix", "n_zero_rows", "report", "row_rank", "sparsity",
-    "Prediction", "class_similarity", "confidence_score", "kernel_matrix",
-    "kernel_similarity", "positive_scores", "predict", "similarity_scores",
+    "FeatureWeightStats", "auroc", "feature_weight_stats",
+    "heatmap_matrix", "n_zero_rows", "row_rank", "sparsity",
+    "class_similarity", "confidence_score", "kernel_matrix",
+    "kernel_similarity", "positive_scores", "score_rows", "similarity_scores",
     "squared_distance",
     "ModelFile", "load_model", "save_model", "schema_fingerprint",
     "LossBreakdown", "RankingPairs",

@@ -11,7 +11,6 @@ import dataclasses
 import json
 import math
 import sys
-import warnings
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .data_io import (
     write_csv,
 )
 from .dataset import Dataset
-from .errors import ConfmetricError, DegenerateScoreWarning, ValidationError
+from .errors import ConfmetricError, ValidationError
 from .evaluate import (
     auroc,
     feature_weight_stats,
@@ -43,7 +42,7 @@ from .experiment import (
     write_results_csv,
     write_summary_csv,
 )
-from .metric import positive_scores
+from .metric import score_rows
 from .model_io import ModelFile, load_model, save_model
 from .optimize import TraceRecord, TrainConfig, fit
 
@@ -128,15 +127,7 @@ def cmd_predict(args) -> int:
     rows, ids = _read_feature_rows(args.data, schema.feature_columns, args.id_column)
     train = Dataset(model.train_X, model.train_y)
     # degenerate rows are counted in the JSON line, not warned about in text
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DegenerateScoreWarning)
-        scores = positive_scores(model.matrix, train, rows)
-    degenerate = 0
-    for w in caught:
-        if issubclass(w.category, DegenerateScoreWarning):
-            degenerate += w.message.count
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    scores, degenerate = score_rows(model.matrix, train, rows)
     labels = (scores > args.threshold).astype(int)
     write_csv(args.out, ["id", "confidence", "label"],
               zip(ids, map(float, scores), map(int, labels)))
@@ -285,11 +276,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfmetricError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
-        return 1
+        code, message = exc.code, str(exc)
     except OSError as exc:
-        print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
-        return 1
+        code, message = "io", str(exc)
+    except MemoryError as exc:
+        code, message = "out-of-memory", str(exc)
+    print(json.dumps({"error": code, "message": message}), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -356,8 +356,12 @@ def synth_generate(cfg: SynthConfig) -> tuple[Dataset, np.ndarray]:
 
     # exact posterior of the generating mixture (identity covariances)
     prior_logit = np.log(cfg.class_balance / (1.0 - cfg.class_balance))
-    logit = prior_logit + X @ (2.0 * mu)
-    posterior1 = 1.0 / (1.0 + np.exp(-logit))
+    with np.errstate(over="ignore", invalid="ignore"):
+        logit = prior_logit + X @ (2.0 * mu)
+        posterior1 = 1.0 / (1.0 + np.exp(-logit))  # exp(-logit) = inf gives 0
+    if not np.isfinite(logit).all():
+        raise ValidationError(f"cluster_separation {cfg.cluster_separation!r} "
+                              "overflows the posterior logit")
 
     p_own = np.where(y == 1, posterior1, 1.0 - posterior1)
     if cfg.confidence_noise > 0:

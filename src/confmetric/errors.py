@@ -51,11 +51,4 @@ class SchemaMismatchError(ConfmetricError):
 
 
 class DegenerateScoreWarning(UserWarning):
-    """Both class similarities underflowed to zero; score is uninformative.
-
-    ``count`` is how many scores this one warning stands for.
-    """
-
-    def __init__(self, message="", count=1):
-        super().__init__(message)
-        self.count = count
+    """Both class similarities underflowed to zero; score is uninformative."""

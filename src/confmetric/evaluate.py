@@ -10,14 +10,6 @@ from .errors import UndefinedMetricError, ValidationError
 
 
 @dataclass(frozen=True)
-class EvalReport:
-    sparsity: float
-    row_rank: int
-    n_zero_rows: int
-    auroc: float | None = None
-
-
-@dataclass(frozen=True)
 class FeatureWeightStats:
     """Per-feature (column) mean and max absolute weight across rows of L."""
 
@@ -101,13 +93,3 @@ def heatmap_matrix(L) -> np.ndarray:
     if peak == 0.0:
         return A
     return A / peak
-
-
-def report(L, auroc_value: float | None = None, rank_tol: float = 1e-8) -> EvalReport:
-    """Bundle the structural statistics of a metric matrix."""
-    return EvalReport(
-        sparsity=sparsity(L),
-        row_rank=row_rank(L, rank_tol),
-        n_zero_rows=n_zero_rows(L),
-        auroc=auroc_value,
-    )

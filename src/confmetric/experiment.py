@@ -9,8 +9,8 @@ deterministic in the config seed; result records are emitted in canonical
 strictly ascending and methods distinct), so repeated runs are
 byte-identical.
 
-Validation and test rows are scored by ``metric.positive_scores``, the
-package's one query scorer, which ``predict`` also uses.
+Validation and test rows are scored by ``metric.positive_scores``, which
+wraps ``metric.score_rows``, the package's one query scorer.
 """
 
 from __future__ import annotations

@@ -6,15 +6,17 @@ through L, which makes the implied quadratic form L^T L positive
 semidefinite by construction. Similarity is the Gaussian kernel of that
 distance with bandwidth absorbed into the scale of L.
 
-``positive_scores`` is the one query scorer: ``predict``, the experiment
-harness and the CLI all call it.
+``score_rows`` is the one query scorer: it returns the scores together with
+how many rows were degenerate, which ``confmetric predict`` reports.
+``positive_scores`` returns only the scores and warns once about those rows;
+the experiment harness calls it.
 
 Kernels are evaluated in row blocks of about ``_BLOCK_BYTES`` each, so the
 elementwise work runs in cache rather than streaming n x n buffers through
 memory once per step. ``kernel_matrix`` computes its one Gram product
 ``W Z^T`` straight into the returned array (a single BLAS call, so the
 result is bit-identical to the plain expression) and then turns it into
-kernel values one block at a time; ``positive_scores`` computes the Gram
+kernel values one block at a time; ``score_rows`` computes the Gram
 product block by block as well and keeps only each block's two class sums,
 so it never holds a query-by-reference kernel.
 
@@ -31,7 +33,6 @@ All functions here are pure and thread-safe.
 from __future__ import annotations
 
 import warnings
-from typing import NamedTuple
 
 import numpy as np
 
@@ -227,12 +228,12 @@ def confidence_score(s_y: float, s_not_y: float) -> float:
     return s_y / total
 
 
-def positive_scores(L, train: Dataset, X) -> np.ndarray:
+def score_rows(L, train: Dataset, X) -> tuple[np.ndarray, int]:
     """Confidence s1 / (s0 + s1) in class 1 for each row of X, where s_y is
-    the row's mean similarity to the label-y rows of train (no self-exclusion).
+    the row's mean similarity to the label-y rows of train (no self-exclusion),
+    and how many rows had s0 = s1 = 0 (underflow) and so score 0.5.
 
-    Raises DegenerateClassError if train lacks a class. Rows with s0 = s1 = 0
-    (underflow) score 0.5, and one DegenerateScoreWarning counts them.
+    Raises DegenerateClassError if train lacks a class.
     """
     n0, n1 = train.class_counts()
     if n0 < 1 or n1 < 1:
@@ -253,24 +254,15 @@ def positive_scores(L, train: Dataset, X) -> np.ndarray:
     total = S[:, 0] + S[:, 1]
     scores = np.full(total.shape, 0.5)
     np.divide(S[:, 1], total, out=scores, where=total > 0.0)
-    degenerate = int(np.count_nonzero(total == 0.0))
+    return scores, int(np.count_nonzero(total == 0.0))
+
+
+def positive_scores(L, train: Dataset, X) -> np.ndarray:
+    """The scores of ``score_rows``; one DegenerateScoreWarning counts the
+    rows that scored 0.5 because both class similarities underflowed."""
+    scores, degenerate = score_rows(L, train, X)
     if degenerate:
-        msg = (f"{degenerate} of {total.size} rows scored 0.5: both class "
-               "similarities underflowed to zero")
-        warnings.warn(DegenerateScoreWarning(msg, degenerate), stacklevel=2)
+        warnings.warn(f"{degenerate} of {scores.size} rows scored 0.5: both class "
+                      "similarities underflowed to zero", DegenerateScoreWarning,
+                      stacklevel=2)
     return scores
-
-
-class Prediction(NamedTuple):
-    label: int
-    confidence: float
-
-
-def predict(L, train: Dataset, q, threshold: float = 0.5) -> Prediction:
-    """Threshold the positive-class confidence score of one query.
-
-    Returns label 1 iff the confidence score for class 1 strictly exceeds
-    the threshold, together with the score itself.
-    """
-    c1 = float(positive_scores(L, train, np.reshape(q, (1, -1)))[0])
-    return Prediction(label=int(c1 > threshold), confidence=c1)

@@ -12,13 +12,13 @@ only on the data (the one-hot labels, the class reference counts, the
 ranking pairs and the weights) is built once, when it is constructed; the
 class structure is kept at n x 2, so none of it is n x n.
 ``Objective.value(L)`` computes one n x n kernel matrix and returns the loss
-together with an ``ObjectiveCache`` holding that kernel, the per-instance
-margins and which hinge pairs are active; ``Objective.gradient(L, cache)``
-reuses the kernel and the active pairs, so the loss and the gradient at one
-L share a single kernel and a single hinge evaluation. ``camel_cl_loss`` and
-``smooth_gradient`` are one-shot wrappers over it. ``camel_loss`` computes
-the base loss on its own, through ``similarity_scores``, and is the
-reference the ranking variant must equal exactly when lambda2 is 0.
+together with an ``ObjectiveCache`` holding that kernel and which hinge
+pairs are active; ``Objective.gradient(L, cache)`` reuses both, so the loss
+and the gradient at one L share a single kernel and a single hinge
+evaluation. ``camel_cl_loss`` and ``smooth_gradient`` are one-shot wrappers
+over it. ``camel_loss`` computes the base loss on its own, through
+``similarity_scores``, and is the reference the ranking variant must equal
+exactly when lambda2 is 0.
 
 The L1 term is not differentiated here; the optimizer handles it through a
 proximal step. At exact hinge kinks the subgradient 0 is used.
@@ -122,7 +122,6 @@ class ObjectiveCache:
     """What ``Objective.value`` computed at one L, for ``gradient`` at that L."""
 
     kernel: np.ndarray  # (n, n) Gaussian kernel of the training rows, 0 diagonal
-    margins: np.ndarray  # (n,) own-class minus opposite-class score
     active: np.ndarray | None  # (pairs,) hinge is active; None with the term off
 
 
@@ -149,7 +148,7 @@ class Objective:
         self.lambda2 = lambda2
 
     def value(self, L) -> tuple[LossBreakdown, ObjectiveCache]:
-        """Loss at L, and the kernel, margins and active hinge pairs behind it.
+        """Loss at L, and the kernel and active hinge pairs behind it.
 
         For each pair (a, b) the hinge activates when b's margin exceeds
         a's, i.e. when the model orders the two against the labeler's
@@ -167,7 +166,7 @@ class Objective:
             ranking = float(self.lambda2 * np.maximum(0.0, args).sum())
             active = args > 0.0
         loss = LossBreakdown(pushpull=pushpull, l1=l1, ranking=ranking)
-        return loss, ObjectiveCache(kernel=K, margins=marg, active=active)
+        return loss, ObjectiveCache(kernel=K, active=active)
 
     def gradient(self, L, cache: ObjectiveCache) -> np.ndarray:
         """Gradient of the smooth loss terms (push/pull + ranking) in L.

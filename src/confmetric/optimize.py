@@ -142,12 +142,22 @@ def fit(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
 
     One ``Objective`` serves the whole fit. The starting loss and every
     line-search trial compute exactly one kernel matrix; the accepted
-    trial's cache (kernel and margins) feeds the next gradient and is then
-    dropped, so only one n x n kernel is alive while later trials run.
+    trial's cache (kernel and active pairs) feeds the next gradient and is
+    then dropped, so only one n x n kernel is alive while later trials run.
+    Floating-point overflow, invalid operations and division by zero raise
+    NumericalFailureError; the kernel underflows by design, so underflow does not.
 
     Returns the final metric matrix and the full per-iteration trace.
     Deterministic given the dataset and the config seed.
     """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _descend(data, cfg)
+    except FloatingPointError as exc:
+        raise NumericalFailureError(f"{exc} while fitting") from None
+
+
+def _descend(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     n0, n1 = data.class_counts()
     if n0 < 2 or n1 < 2:
         raise DegenerateClassError("training requires at least 2 instances per class")

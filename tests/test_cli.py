@@ -13,12 +13,14 @@ import pytest
 import confmetric
 from confmetric import (
     ExperimentConfig,
+    ModelFile,
     ResultRecord,
     SynthConfig,
     TrainConfig,
     ValidationError,
     run_experiment,
     save_csv,
+    save_model,
     summarize,
     synth_generate,
     write_summary_csv,
@@ -209,6 +211,23 @@ class TestTrainPredictEvaluate:
         with open(preds) as fh:
             assert [r["confidence"] for r in csv.DictReader(fh)][1] == "0.5"
 
+    @pytest.mark.parametrize("threshold, label", [("0.5", "0"), ("0.4", "1")],
+                             ids=["equal-is-negative", "above-is-positive"])
+    def test_threshold_is_strict(self, tmp_path, capsys, threshold, label):
+        # the midpoint of a symmetric two-point training set scores exactly 0.5
+        model = tmp_path / "m.json"
+        save_model(model, ModelFile.create(np.eye(1), ["f0"], {}, train_X=[[1.0], [-1.0]],
+                                           train_y=[1, 0]))
+        data = tmp_path / "q.csv"
+        data.write_text("f0\n0.0\n")
+        preds = tmp_path / "p.csv"
+        code, _, err = run(capsys, "predict", "--model", str(model), "--data", str(data),
+                           "--threshold", threshold, "--out", str(preds))
+        assert (code, err) == (0, "")
+        with open(preds) as fh:
+            assert [(r["confidence"], r["label"]) for r in csv.DictReader(fh)] == [
+                ("0.5", label)]
+
     def test_missing_file_reports_io_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "train", "--data", str(tmp_path / "nope.csv"),
@@ -250,6 +269,39 @@ def probe_model_edit(tmp_path, capsys, **changes):
     edit_json(model, **{k: v(raw) for k, v in changes.items()})
     return ["predict", "--model", str(model), "--data", str(data),
             "--confidence", "confidence", "--out", str(tmp_path / "out.csv")]
+
+
+def probe_model_without_rows(tmp_path, capsys):
+    data, model = trained_model(tmp_path, capsys)
+    raw = json.loads(model.read_text())
+    del raw["train_X"], raw["train_y"]
+    model.write_text(json.dumps(raw))
+    return ["predict", "--model", str(model), "--data", str(data),
+            "--confidence", "confidence", "--out", str(tmp_path / "out.csv")]
+
+
+def probe_header_only(tmp_path, capsys):
+    data, model = trained_model(tmp_path, capsys)
+    data.write_text(data.read_text().splitlines()[0] + "\n")
+    return ["predict", "--model", str(model), "--data", str(data),
+            "--confidence", "confidence", "--out", str(tmp_path / "out.csv")]
+
+
+def probe_overflowing_feature(tmp_path, capsys):
+    data = make_data(tmp_path, capsys)
+    header, first, *rest = data.read_text().splitlines()
+    first = ",".join(["1e200"] + first.split(",")[1:])
+    data.write_text("\n".join([header, first, *rest]) + "\n")
+    return ["train", "--data", str(data), "--confidence", "confidence",
+            "--out", str(tmp_path / "m.json"), "--trace", str(tmp_path / "out.csv")]
+
+
+def probe_short_predictions(tmp_path, capsys):
+    data = make_data(tmp_path, capsys)
+    preds = tmp_path / "p.csv"
+    preds.write_text("id,confidence,label\n" + "".join(f"{i},0.5,0\n" for i in range(59)))
+    return ["evaluate", "--pred", str(preds), "--data", str(data),
+            "--confidence", "confidence"]
 
 
 def probe_bad_confidence(tmp_path, capsys):
@@ -395,6 +447,17 @@ MALFORMED_INPUTS = {
     "experiment-negative-seed": (
         functools.partial(probe_experiment, [], seed=-1), "validation",
     ),
+    "synth-overflowing-separation": (
+        functools.partial(probe_synth_flag, "--separation", "1e308"), "validation",
+    ),
+    "train-overflowing-features": (probe_overflowing_feature, "numerical-failure"),
+    # 8 PB is past the address space, so numpy refuses before allocating anything
+    "synth-unallocatable-n": (
+        functools.partial(probe_synth_flag, "--n", "1000000000000000"), "out-of-memory",
+    ),
+    "evaluate-row-count-mismatch": (probe_short_predictions, "validation"),
+    "predict-header-only": (probe_header_only, "validation"),
+    "model-without-training-rows": (probe_model_without_rows, "validation"),
 }
 
 
@@ -421,6 +484,27 @@ def test_synth_flag_rejected_by_synth_config(tmp_path, capsys, flag, text, match
     code, out, err = run(capsys, *probe_synth_flag(flag, text, tmp_path, capsys))
     assert (code, out) == (1, "")
     assert match in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("probe, match", [
+    (probe_short_predictions, "prediction rows (59) do not match data rows (60)"),
+    (probe_header_only, "no data rows"),
+    (probe_model_without_rows, "model file lacks training instances"),
+], ids=["evaluate-row-count-mismatch", "predict-header-only", "model-without-training-rows"])
+def test_cli_check_names_its_cause(tmp_path, capsys, probe, match):
+    """The CLI's own checks fire before a later layer rejects the same input."""
+    code, _, err = run(capsys, *probe(tmp_path, capsys))
+    assert code == 1
+    assert match in json.loads(err)["message"]
+
+
+def test_saturating_synth_is_silent(tmp_path, capsys):
+    """At --separation 40 exp(-logit) overflows to inf and the posterior
+    saturates to 0 or 1, which is harmless and prints nothing."""
+    code, out, err = run(capsys, "synth", "--separation", "40",
+                         "--out", str(tmp_path / "d.csv"))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n"] == 400
 
 
 def test_flag_defaults_are_config_defaults(tmp_path, capsys):

@@ -8,13 +8,11 @@ from scipy.stats import rankdata
 
 from confmetric import evaluate
 from confmetric import (
-    EvalReport,
     UndefinedMetricError,
     auroc,
     feature_weight_stats,
     heatmap_matrix,
     n_zero_rows,
-    report,
     row_rank,
     sparsity,
 )
@@ -134,17 +132,3 @@ class TestMatrixDiagnostics:
     def test_heatmap_zero_matrix(self):
         assert np.array_equal(heatmap_matrix(np.zeros((2, 2))), np.zeros((2, 2)))
 
-
-class TestReport:
-    def test_report_fields(self):
-        L = np.array([[1.0, 0.0], [0.0, 0.0]])
-        r = report(L, auroc_value=auroc([0.1, 0.9, 0.2, 0.8], [0, 1, 0, 1]))
-        assert isinstance(r, EvalReport)
-        assert r.sparsity == 0.75
-        assert r.row_rank == 1
-        assert r.n_zero_rows == 1
-        assert r.auroc == 1.0
-
-    def test_report_without_labels(self):
-        r = report(np.eye(2))
-        assert r.auroc is None

@@ -16,7 +16,7 @@ from confmetric import (
     kernel_matrix,
     kernel_similarity,
     positive_scores,
-    predict,
+    score_rows,
     similarity_scores,
     squared_distance,
 )
@@ -216,12 +216,14 @@ class TestBlockedKernel:
         L = rng.normal(size=(2, 3)) * 3.0
         # the last three queries are far from every reference row
         Q = np.vstack([rng.normal(size=(50, 3)), np.full((3, 3), 1e4)])
-        with pytest.warns(DegenerateScoreWarning) as record:
-            scores = positive_scores(L, data, Q)
+        scores, degenerate = score_rows(L, data, Q)
         S = seed_order_kernel(L, X, Q) @ np.eye(2)[y] / np.bincount(y)
         total = S.sum(axis=1)
-        assert [w.message.count for w in record] == [np.count_nonzero(total == 0.0)]
-        assert record[0].message.count == 3
+        assert degenerate == np.count_nonzero(total == 0.0)
+        assert degenerate == 3
+        with pytest.warns(DegenerateScoreWarning, match="^3 of 53 rows") as record:
+            assert np.array_equal(positive_scores(L, data, Q), scores)
+        assert len(record) == 1
         expected = np.where(total > 0.0, S[:, 1] / np.where(total > 0.0, total, 1.0), 0.5)
         assert np.allclose(scores, expected, rtol=1e-14, atol=0.0)
 
@@ -369,34 +371,22 @@ class TestConfidenceScore:
 
 
 class TestPredict:
+    """The scorer behind ``confmetric predict``; its thresholding is tested
+    through the CLI in test_cli.py."""
+
     def _train(self):
         rng = np.random.default_rng(5)
         X = np.vstack([rng.normal(-3, 0.5, (5, 2)), rng.normal(3, 0.5, (5, 2))])
         return Dataset(X, [0] * 5 + [1] * 5)
 
-    def test_strictly_above_threshold(self):
-        # symmetric two-point setup gives exactly C1 = 0.5
-        data = Dataset(np.array([[1.0], [-1.0]]), [1, 0])
-        pred = predict(np.eye(1), data, [0.0], threshold=0.4)
-        assert pred.confidence == 0.5
-        assert pred.label == 1
-
-    def test_equal_to_threshold_is_negative(self):
-        data = Dataset(np.array([[1.0], [-1.0]]), [1, 0])
-        pred = predict(np.eye(1), data, [0.0], threshold=0.5)
-        assert pred.confidence == 0.5
-        assert pred.label == 0
-
     def test_far_from_positives(self):
         data = self._train()
-        pred = predict(np.eye(2), data, [-3.0, -3.0])
-        assert pred.label == 0
-        assert pred.confidence < 0.01
+        assert positive_scores(np.eye(2), data, [-3.0, -3.0])[0] < 0.01
 
     def test_missing_class(self):
         data = Dataset(np.array([[0.0], [1.0]]), [1, 1])
         with pytest.raises(DegenerateClassError):
-            predict(np.eye(1), data, [0.0])
+            score_rows(np.eye(1), data, [0.0])
 
 
 def test_similarity_scores_match_scalar_path():

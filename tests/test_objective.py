@@ -332,14 +332,13 @@ class TestObjective:
             objective = Objective(data, pairs, 0.3, lambda2)
             for _ in range(3):
                 L = rng.normal(size=(int(rng.integers(1, 4)), 3))
-                loss, cache = objective.value(L)
+                loss = objective.value(L)[0]
                 cfg = TrainConfig(lambda1=0.3, lambda2=lambda2)
                 assert loss == camel_cl_loss(L, data, cfg, pairs)
                 base = camel_loss(L, data, 0.3)
                 assert (loss.pushpull, loss.l1) == (base.pushpull, base.l1)
                 S = similarity_scores(L, data)
                 marg = S[np.arange(data.n), data.y] - S[np.arange(data.n), 1 - data.y]
-                assert np.array_equal(cache.margins, marg)
                 hinge = np.maximum(0.0, marg[pairs.pairs[:, 1]] - marg[pairs.pairs[:, 0]])
                 ranking = float(lambda2 * hinge.sum()) if lambda2 > 0 else 0.0
                 assert loss.ranking == ranking
