@@ -17,6 +17,7 @@ import numpy as np
 from .data_io import (
     DatasetSchema,
     SynthConfig,
+    config_from_dict,
     load_csv,
     read_columns,
     read_header,
@@ -89,7 +90,7 @@ def cmd_train(args) -> int:
     data, _ = load_csv(args.data, schema)
     cfg = _config_from_args(TrainConfig, args)
     L, trace = fit(data, cfg)
-    model = ModelFile.create(
+    model = ModelFile(
         matrix=L,
         feature_columns=schema.feature_columns,
         train_config=dataclasses.asdict(cfg),
@@ -119,8 +120,6 @@ def cmd_predict(args) -> int:
     if not math.isfinite(args.threshold):
         raise ValidationError(f"--threshold must be finite, got {args.threshold!r}")
     model = load_model(args.model)
-    if model.train_X is None:
-        raise ValidationError("model file lacks training instances; cannot score")
     schema = _schema_from_flags(args.data, args)
     model.check_compatible(schema.feature_columns)
     # labels are not needed for scoring; parse features and optional ids only
@@ -172,7 +171,8 @@ def cmd_experiment(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.config:
-        cfg = SynthConfig.from_dict(read_json_config(args.config, "synth config"))
+        cfg = config_from_dict(SynthConfig, read_json_config(args.config, "synth config"),
+                               "synth config")
     else:
         cfg = _config_from_args(SynthConfig, args)
     data, _ = synth_generate(cfg)

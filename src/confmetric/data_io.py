@@ -187,10 +187,6 @@ class SynthConfig:
             raise ValidationError(
                 "seed, cluster_separation and confidence_noise must be nonnegative")
 
-    @classmethod
-    def from_dict(cls, raw, what: str = "synth config") -> "SynthConfig":
-        return config_from_dict(cls, raw, what)
-
 
 def read_columns(path, features, label=None, confidence=None, id_column=None):
     """Parse the named columns of a CSV file.

@@ -29,10 +29,6 @@ class NumericalFailureError(ConfmetricError):
 
     code = "numerical-failure"
 
-    def __init__(self, message, iteration=None):
-        super().__init__(message)
-        self.iteration = iteration
-
 
 class UndefinedMetricError(ConfmetricError):
     """A performance metric is undefined for the given inputs."""

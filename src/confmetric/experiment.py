@@ -101,7 +101,7 @@ class ExperimentConfig:
         check_config_keys(data, (), ("synth", "csv"), "data")
         sources = {}
         if "synth" in data:
-            sources["synth"] = SynthConfig.from_dict(data["synth"], "data.synth")
+            sources["synth"] = config_from_dict(SynthConfig, data["synth"], "data.synth")
         if "csv" in data:
             sources["csv_schema"] = config_from_dict(DatasetSchema, data["csv"], "data.csv",
                                                      extra=("path",))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import decoding_errors
+from .dataset import Dataset
 from .errors import SchemaMismatchError, ValidationError
 
 FORMAT_VERSION = 1
@@ -30,21 +31,12 @@ class ModelFile:
     matrix: np.ndarray
     feature_columns: list[str]
     train_config: dict
-    fingerprint: str
-    train_X: np.ndarray | None = None
-    train_y: np.ndarray | None = None
+    train_X: np.ndarray
+    train_y: np.ndarray
 
-    @classmethod
-    def create(cls, matrix, feature_columns, train_config,
-               train_X=None, train_y=None) -> "ModelFile":
-        return cls(
-            matrix=np.asarray(matrix, dtype=np.float64),
-            feature_columns=list(feature_columns),
-            train_config=dict(train_config),
-            fingerprint=schema_fingerprint(list(feature_columns)),
-            train_X=None if train_X is None else np.asarray(train_X, dtype=np.float64),
-            train_y=None if train_y is None else np.asarray(train_y, dtype=np.int64),
-        )
+    @property
+    def fingerprint(self) -> str:
+        return schema_fingerprint(self.feature_columns)
 
     def check_compatible(self, feature_columns: list[str]):
         other = schema_fingerprint(list(feature_columns))
@@ -63,10 +55,9 @@ def save_model(path, model: ModelFile):
         "feature_columns": model.feature_columns,
         "train_config": model.train_config,
         "matrix": np.asarray(model.matrix, dtype=np.float64).tolist(),
+        "train_X": np.asarray(model.train_X, dtype=np.float64).tolist(),
+        "train_y": np.asarray(model.train_y, dtype=np.int64).tolist(),
     }
-    if model.train_X is not None:
-        payload["train_X"] = np.asarray(model.train_X, dtype=np.float64).tolist()
-        payload["train_y"] = np.asarray(model.train_y, dtype=np.int64).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         # dumps, unlike dump, runs the C encoder
         fh.write(json.dumps(payload))
@@ -74,10 +65,12 @@ def save_model(path, model: ModelFile):
 
 
 def load_model(path) -> ModelFile:
-    """Read a model file, checking that its arrays fit its feature columns.
+    """Read a model file and check all that scoring and inspection rely on.
 
-    Any fault in the file is a ValidationError. Finiteness and label values
-    are left to the Dataset that scoring builds from the arrays.
+    Every key is required, the arrays must fit the feature columns, the
+    matrix must be finite and the training rows must make a Dataset, so any
+    command that reads a model accepts and rejects the same files. Any fault
+    in the file is a ValidationError.
     """
     try:
         with open(path, encoding="utf-8") as fh, decoding_errors(path):
@@ -91,42 +84,38 @@ def load_model(path) -> ModelFile:
             raise ValidationError(
                 f"unsupported model format version {payload['format_version']}"
             )
-        train_X = payload.get("train_X")
-        train_y = payload.get("train_y")
         model = ModelFile(
             matrix=np.array(payload["matrix"], dtype=np.float64),
             feature_columns=[str(c) for c in payload["feature_columns"]],
             train_config=dict(payload["train_config"]),
-            fingerprint=payload["fingerprint"],
-            train_X=None if train_X is None else np.array(train_X, dtype=np.float64),
-            train_y=None if train_y is None else np.array(train_y),
+            train_X=np.array(payload["train_X"], dtype=np.float64),
+            train_y=np.array(payload["train_y"]),
         )
+        fingerprint = payload["fingerprint"]
     except KeyError as exc:
         raise ValidationError(f"corrupt model file: missing field {exc}") from None
     except ValidationError:
         raise
     except (TypeError, ValueError) as exc:  # e.g. a ragged matrix
         raise ValidationError(f"corrupt model file: {exc}") from None
-    _check_shapes(model)
+    _check_contents(model, fingerprint)
     return model
 
 
-def _check_shapes(model: ModelFile):
+def _check_contents(model: ModelFile, fingerprint):
     m = len(model.feature_columns)
     L = model.matrix
     if L.ndim != 2 or L.shape[0] < 1 or L.shape[1] != m:
         raise ValidationError(
             f"corrupt model file: matrix has shape {L.shape}, expected (k, {m})"
         )
-    if model.fingerprint != schema_fingerprint(model.feature_columns):
+    if not np.isfinite(L).all():
+        raise ValidationError("corrupt model file: matrix has non-finite entries")
+    if fingerprint != model.fingerprint:
         raise ValidationError(
             "corrupt model file: fingerprint does not match feature_columns"
         )
     X, y = model.train_X, model.train_y
-    if (X is None) != (y is None):
-        raise ValidationError("corrupt model file: train_X and train_y come together")
-    if X is None:
-        return
     if X.ndim != 2 or X.shape[1] != m:
         raise ValidationError(
             f"corrupt model file: train_X has shape {X.shape}, expected (n, {m})"
@@ -135,3 +124,7 @@ def _check_shapes(model: ModelFile):
         raise ValidationError(
             f"corrupt model file: train_y must hold {X.shape[0]} integer labels"
         )
+    try:  # the rules predict's reference Dataset holds its rows to
+        Dataset(X, y)
+    except ValidationError as exc:
+        raise ValidationError(f"corrupt model file: training rows: {exc}") from None

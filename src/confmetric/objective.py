@@ -154,7 +154,6 @@ class Objective:
         a's, i.e. when the model orders the two against the labeler's
         confidences.
         """
-        L = _check_metric(L)
         K = kernel_matrix(L, self.data.X)
         marg = _margins(_class_scores(K, self.onehot, self.counts), self.data.y)
         pushpull = float(-np.sum(marg))

@@ -173,7 +173,7 @@ def _descend(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
 
     loss, cache = objective.value(L)
     if not np.isfinite(loss.total):
-        raise NumericalFailureError("non-finite loss at initialization", iteration=0)
+        raise NumericalFailureError("non-finite loss at initialization")
 
     eta = _ETA0
     trace = TrainTrace()
@@ -186,9 +186,7 @@ def _descend(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
             L_new = soft_threshold(L - eta * g, eta * cfg.lambda1)
             loss_new, cache = objective.value(L_new)
             if not np.isfinite(loss_new.total):
-                raise NumericalFailureError(
-                    f"non-finite loss at iteration {k + 1}", iteration=k + 1
-                )
+                raise NumericalFailureError(f"non-finite loss at iteration {k + 1}")
             if loss_new.total <= loss.total:
                 break
             cache = None

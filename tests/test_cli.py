@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -216,8 +217,8 @@ class TestTrainPredictEvaluate:
     def test_threshold_is_strict(self, tmp_path, capsys, threshold, label):
         # the midpoint of a symmetric two-point training set scores exactly 0.5
         model = tmp_path / "m.json"
-        save_model(model, ModelFile.create(np.eye(1), ["f0"], {}, train_X=[[1.0], [-1.0]],
-                                           train_y=[1, 0]))
+        save_model(model, ModelFile(np.eye(1), ["f0"], {}, train_X=[[1.0], [-1.0]],
+                                    train_y=[1, 0]))
         data = tmp_path / "q.csv"
         data.write_text("f0\n0.0\n")
         preds = tmp_path / "p.csv"
@@ -263,12 +264,20 @@ def probe_non_finite_feature(text, tmp_path, capsys):
             "--confidence", "confidence", "--out", str(tmp_path / "out.csv")]
 
 
-def probe_model_edit(tmp_path, capsys, **changes):
+def probe_model_edit(tmp_path, capsys, command="predict", **changes):
     data, model = trained_model(tmp_path, capsys)
     raw = json.loads(model.read_text())
     edit_json(model, **{k: v(raw) for k, v in changes.items()})
+    if command == "inspect":
+        return ["inspect", "--model", str(model), "--heatmap", str(tmp_path / "out.csv"),
+                "--stats", str(tmp_path / "stats.csv")]
     return ["predict", "--model", str(model), "--data", str(data),
             "--confidence", "confidence", "--out", str(tmp_path / "out.csv")]
+
+
+def with_first_entry(key, value):
+    """An edit that sets the first entry of the model file's 2-D array key to value."""
+    return lambda m: [[value, *m[key][0][1:]], *m[key][1:]]
 
 
 def probe_model_without_rows(tmp_path, capsys):
@@ -396,6 +405,25 @@ MALFORMED_INPUTS = {
         functools.partial(probe_model_edit, matrix=lambda m: [m["matrix"][0], [1.0]]),
         "validation",
     ),
+    "inspect-inf-matrix": (
+        functools.partial(probe_model_edit, command="inspect",
+                          matrix=with_first_entry("matrix", math.inf)),
+        "validation",
+    ),
+    "inspect-nan-matrix": (
+        functools.partial(probe_model_edit, command="inspect",
+                          matrix=with_first_entry("matrix", math.nan)),
+        "validation",
+    ),
+    "inspect-nan-train-X": (
+        functools.partial(probe_model_edit, command="inspect",
+                          train_X=with_first_entry("train_X", math.nan)),
+        "validation",
+    ),
+    "predict-inf-matrix": (
+        functools.partial(probe_model_edit, matrix=with_first_entry("matrix", math.inf)),
+        "validation",
+    ),
     "short-train-y": (
         functools.partial(probe_model_edit, train_y=lambda m: m["train_y"][1:]),
         "validation",
@@ -474,6 +502,21 @@ def test_malformed_input_is_one_json_error(tmp_path, capsys, probe, error):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [("matrix", math.inf), ("matrix", math.nan),
+                                        ("train_X", math.nan)],
+                         ids=["inf-matrix", "nan-matrix", "nan-train-X"])
+def test_inspect_and_predict_reject_the_same_model(tmp_path, capsys, key, value):
+    messages = set()
+    for command in ("inspect", "predict"):
+        argv = probe_model_edit(tmp_path, capsys, command,
+                                **{key: with_first_entry(key, value)})
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        messages.add(json.loads(err)["message"])
+    (message,) = messages
+    assert message.startswith("corrupt model file: ")
+
+
 @pytest.mark.parametrize("flag, text, match", [
     ("--seed", "-1", "seed, cluster_separation and confidence_noise must be nonnegative"),
     ("--noise", "inf", "must be finite numbers"),
@@ -489,7 +532,7 @@ def test_synth_flag_rejected_by_synth_config(tmp_path, capsys, flag, text, match
 @pytest.mark.parametrize("probe, match", [
     (probe_short_predictions, "prediction rows (59) do not match data rows (60)"),
     (probe_header_only, "no data rows"),
-    (probe_model_without_rows, "model file lacks training instances"),
+    (probe_model_without_rows, "missing field"),
 ], ids=["evaluate-row-count-mismatch", "predict-header-only", "model-without-training-rows"])
 def test_cli_check_names_its_cause(tmp_path, capsys, probe, match):
     """The CLI's own checks fire before a later layer rejects the same input."""

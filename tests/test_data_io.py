@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confmetric import data_io
+from confmetric.data_io import config_from_dict
 from confmetric import (
     Dataset,
     DatasetSchema,
@@ -330,7 +331,8 @@ class TestSynthGenerate:
 
     def test_from_dict(self):
         raw = {"n": 20, "m": 3, "m_informative": 1, "seed": 2}
-        assert SynthConfig.from_dict(raw) == SynthConfig(n=20, m=3, m_informative=1, seed=2)
+        assert config_from_dict(SynthConfig, raw, "synth config") == SynthConfig(
+            n=20, m=3, m_informative=1, seed=2)
 
     @pytest.mark.parametrize("raw, match", [
         ([20, 3, 1], "must be a JSON object"),
@@ -352,7 +354,7 @@ class TestSynthGenerate:
     ])
     def test_from_dict_rejects(self, raw, match):
         with pytest.raises(ValidationError, match=match):
-            SynthConfig.from_dict(raw)
+            config_from_dict(SynthConfig, raw, "synth config")
 
 
 class TestSplit:

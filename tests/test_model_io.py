@@ -14,7 +14,7 @@ from confmetric import (
 
 
 def sample_model(rng):
-    return ModelFile.create(
+    return ModelFile(
         matrix=rng.normal(size=(3, 4)),
         feature_columns=["a", "b", "c", "d"],
         train_config={"lambda1": 0.5, "lambda2": 0.0, "seed": 1},
@@ -69,13 +69,6 @@ class TestRoundTrip:
             fh.write("\n")
         assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
 
-    def test_without_training_instances(self, tmp_path):
-        model = ModelFile.create(np.eye(2), ["a", "b"], {"lambda1": 0.0})
-        path = tmp_path / "m.json"
-        save_model(path, model)
-        back = load_model(path)
-        assert back.train_X is None and back.train_y is None
-
 
 class TestCorruptFiles:
     def test_invalid_json(self, tmp_path):
@@ -104,9 +97,18 @@ class TestCorruptFiles:
         (lambda p: p.update(train_X=[[0.0] * 3] * 6), r"train_X has shape \(6, 3\)"),
         (lambda p: p.update(train_y=[0, 1]), "6 integer labels"),
         (lambda p: p.update(train_y=[0.5] * 6), "6 integer labels"),
-        (lambda p: p.pop("train_y"), "come together"),
+        (lambda p: p.pop("train_y"), "missing field 'train_y'"),
+        (lambda p: p.pop("train_X"), "missing field 'train_X'"),
+        (lambda p: p["matrix"][1].__setitem__(2, float("inf")),
+         "^corrupt model file: matrix has non-finite entries$"),
+        (lambda p: p["matrix"][0].__setitem__(0, float("nan")), "matrix has non-finite"),
+        (lambda p: p["train_X"][3].__setitem__(1, float("-inf")),
+         "^corrupt model file: training rows: features contain non-finite values$"),
+        (lambda p: p.update(train_y=[0, 1, 2, 1, 0, 1]),
+         "^corrupt model file: training rows: labels must be 0 or 1$"),
     ], ids=["ragged", "columns", "fingerprint", "renamed", "train-X", "train-y-length",
-            "train-y-float", "train-y-missing"])
+            "train-y-float", "train-y-missing", "train-X-missing", "matrix-inf",
+            "matrix-nan", "train-X-inf", "train-y-two"])
     def test_shape_and_fingerprint_checks(self, tmp_path, edit, match):
         path = tmp_path / "m.json"
         save_model(path, sample_model(np.random.default_rng(2)))
