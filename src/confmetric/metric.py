@@ -20,6 +20,18 @@ kernel values one block at a time; ``score_rows`` computes the Gram
 product block by block as well and keeps only each block's two class sums,
 so it never holds a query-by-reference kernel.
 
+The training kernel, which fitting rebuilds at every loss evaluation, is
+symmetric, so ``_upper_tiles`` builds only its square tiles at or above the
+diagonal (``isqrt(_BLOCK_BYTES / 8)`` = 256 rows a side), packed into one
+buffer. Each tile gets its own Gram product, the same elementwise rule and a
+zeroed diagonal, and gives its share of the class sums (``K_ij B_j`` and
+``K_ij^T B_i``) while it is in cache; ``similarity_scores`` and the
+objective read those sums, and the gradient takes its product with K from
+the same tiles, so fitting never forms an n x n array. A diagonal tile's
+Gram product takes numpy's SYRK path, as ``kernel_matrix`` does, so at
+n <= 256 the tiles equal ``kernel_matrix`` bit for bit; larger kernels can
+differ from it in the last digit. ``kernel_matrix`` stays the reference.
+
 Underflow rule: ``exp(-d2)`` is 0.0 exactly for every ``d2 >= 746``, and
 fitting drives nearly every off-diagonal distance far past that. numpy's
 vectorized ``exp`` takes a slow path on each underflowing lane, so those
@@ -32,6 +44,7 @@ All functions here are pure and thread-safe.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -76,7 +89,7 @@ def kernel_similarity(L, a, b) -> float:
     return float(np.exp(-squared_distance(L, a, b)))
 
 
-# bytes of one row block: a few blocks of this size stay in L2 cache
+# bytes of one row block or square tile: a few of these stay in L2 cache
 _BLOCK_BYTES = 512 * 1024
 # np.exp(-d2) is exactly 0.0 for every d2 at or above this
 _EXP_ZERO = 746.0
@@ -160,6 +173,68 @@ def kernel_matrix(L, X, Q=None) -> np.ndarray:
     return K
 
 
+def _upper_tiles(L, X, B) -> tuple[list[tuple[slice, slice, np.ndarray]], np.ndarray]:
+    """The Gaussian kernel K over X's rows, zero diagonal, as its upper tiles,
+    and K @ B.
+
+    Returns (rows, cols, K[rows, cols]) for every tile at or above the
+    diagonal, in row-major order, carved from one packed buffer. Each tile
+    is built and used while it is in cache: its own Gram product (SYRK on
+    the diagonal), ``_kernel_rows``, and its share of K @ B. The tiles hold
+    (n^2 + n * side) / 2 floats at most.
+    """
+    Z, _, sq, _ = _projections(L, X, None)
+    n, side = Z.shape[0], math.isqrt(_BLOCK_BYTES // 8)
+    edge = n % side  # the last tile row's height, when it is partial
+    # the tiles over i <= j hold (n^2 + sum of squared tile heights) / 2 floats
+    buf = np.empty((n * n + (n - edge) * side + edge * edge) // 2)
+    d2 = np.empty(min(side, n) ** 2)
+    tiles, KB, used = [], np.empty((n, B.shape[1])), 0
+    for i in range(0, n, side):
+        rows = slice(i, i + side)
+        h = min(side, n - i)
+        for j in range(i, n, side):
+            cols = slice(j, j + side)
+            size = h * min(side, n - j)
+            T = buf[used : used + size].reshape(h, -1)
+            used += size
+            np.matmul(Z[rows], Z[cols].T, out=T)
+            _kernel_rows(T, sq[rows], sq[cols], d2[:size].reshape(T.shape))
+            if i == j:
+                np.fill_diagonal(T, 0.0)
+            tiles.append((rows, cols, T))
+            _tile_into(KB, rows, cols, T, B)
+    return tiles, KB
+
+
+def _tile_into(out, rows, cols, T, P) -> None:
+    """Add the tile T = K[rows, cols]'s share of K @ P to out: T @ P[cols],
+    and off the diagonal its mirror's T^T @ P[rows].
+
+    Tiles come in row-major order over i <= j, so tile row 0 reaches every
+    block of out first and writes it rather than adding to it.
+    """
+    top = rows.start == 0
+    if top and cols.start == 0:
+        np.matmul(T, P[cols], out=out[rows])
+    else:
+        out[rows] += T @ P[cols]
+    if rows.start == cols.start:
+        return
+    if top:
+        np.matmul(T.T, P[rows], out=out[cols])
+    else:
+        out[cols] += T.T @ P[rows]
+
+
+def _tile_product(tiles, P) -> np.ndarray:
+    """K @ P for the symmetric kernel K whose upper tiles are ``tiles``."""
+    out = np.empty(P.shape)
+    for rows, cols, T in tiles:
+        _tile_into(out, rows, cols, T, P)
+    return out
+
+
 def similarity_scores(L, data: Dataset) -> np.ndarray:
     """Mean within-class kernel similarity for every instance and class.
 
@@ -168,7 +243,7 @@ def similarity_scores(L, data: Dataset) -> np.ndarray:
     Raises DegenerateClassError if any required reference set is empty.
     """
     onehot, counts = _class_references(data)
-    return _class_scores(kernel_matrix(L, data.X), onehot, counts)
+    return _upper_tiles(L, data.X, onehot)[1] / counts
 
 
 def _class_references(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -185,15 +260,6 @@ def _class_references(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     if np.any(counts[np.arange(data.n), data.y] < 1):
         raise DegenerateClassError("a class has no reference instances besides self")
     return onehot, counts
-
-
-def _class_scores(K, onehot, counts) -> np.ndarray:
-    """Class similarity scores from the symmetric (n, n) kernel K.
-
-    Overwrites K's diagonal with 0: an instance is not its own reference.
-    """
-    np.fill_diagonal(K, 0.0)
-    return (K @ onehot) / counts
 
 
 def class_similarity(L, data: Dataset, i: int, y: int) -> float:

@@ -11,12 +11,13 @@ confident about, within each class.
 only on the data (the one-hot labels, the class reference counts, the
 ranking pairs and the weights) is built once, when it is constructed; the
 class structure is kept at n x 2, so none of it is n x n.
-``Objective.value(L)`` computes one n x n kernel matrix and returns the loss
-together with an ``ObjectiveCache`` holding that kernel and which hinge
-pairs are active; ``Objective.gradient(L, cache)`` reuses both, so the loss
-and the gradient at one L share a single kernel and a single hinge
-evaluation. ``camel_cl_loss`` and ``smooth_gradient`` are one-shot wrappers
-over it. ``camel_loss`` computes the base loss on its own, through
+``Objective.value(L)`` builds the kernel once, as its upper tiles (see
+``metric._upper_tiles``), and returns the loss together with an
+``ObjectiveCache`` holding those tiles and which hinge pairs are active;
+``Objective.gradient(L, cache)`` reuses both, so the loss and the gradient
+at one L share a single kernel and a single hinge evaluation, and no n x n
+array is ever formed. ``camel_cl_loss`` and ``smooth_gradient`` are one-shot
+wrappers over it. ``camel_loss`` computes the base loss on its own, through
 ``similarity_scores``, and is the reference the ranking variant must equal
 exactly when lambda2 is 0.
 
@@ -40,8 +41,8 @@ from .errors import (
 from .metric import (
     _check_metric,
     _class_references,
-    _class_scores,
-    kernel_matrix,
+    _tile_product,
+    _upper_tiles,
     similarity_scores,
 )
 
@@ -84,7 +85,7 @@ def build_ranking_pairs(labels, confidences) -> RankingPairs:
     same = labels[:, None] == labels[None, :]
     higher = confidences[:, None] > confidences[None, :]
     a_idx, b_idx = np.nonzero(same & higher)
-    return RankingPairs(np.column_stack([a_idx, b_idx]).astype(np.int64))
+    return RankingPairs(np.column_stack([a_idx, b_idx]).astype(np.int64, copy=False))
 
 
 def margin(L, data: Dataset, i: int) -> float:
@@ -121,7 +122,9 @@ def camel_loss(L, data: Dataset, lambda1: float) -> LossBreakdown:
 class ObjectiveCache:
     """What ``Objective.value`` computed at one L, for ``gradient`` at that L."""
 
-    kernel: np.ndarray  # (n, n) Gaussian kernel of the training rows, 0 diagonal
+    # (rows, cols, K[rows, cols]) for the training kernel's tiles at or
+    # above the diagonal; the diagonal is 0
+    tiles: list[tuple[slice, slice, np.ndarray]]
     active: np.ndarray | None  # (pairs,) hinge is active; None with the term off
 
 
@@ -143,35 +146,37 @@ class Objective:
         # the coef-independent columns of the gradient's one product with K
         B, X = self.onehot, data.X
         self.rhs = np.concatenate([B, B[:, :1] * X, B[:, 1:] * X], axis=1)
-        self.pairs = _check_pairs(pairs, data.n)
+        p = _check_pairs(pairs, data.n)
+        # each pair's more and less confident member, as contiguous columns
+        self.more, self.less = p[:, 0].copy(), p[:, 1].copy()
         self.lambda1 = lambda1
         self.lambda2 = lambda2
 
     def value(self, L) -> tuple[LossBreakdown, ObjectiveCache]:
-        """Loss at L, and the kernel and active hinge pairs behind it.
+        """Loss at L, and the kernel tiles and active hinge pairs behind it.
 
         For each pair (a, b) the hinge activates when b's margin exceeds
         a's, i.e. when the model orders the two against the labeler's
         confidences.
         """
-        K = kernel_matrix(L, self.data.X)
-        marg = _margins(_class_scores(K, self.onehot, self.counts), self.data.y)
+        tiles, KB = _upper_tiles(L, self.data.X, self.onehot)
+        marg = _margins(KB / self.counts, self.data.y)
         pushpull = float(-np.sum(marg))
         l1 = float(self.lambda1 * np.abs(L).sum())
         ranking, active = 0.0, None
-        p = self.pairs
-        if self.lambda2 > 0 and len(p):
-            args = marg[p[:, 1]] - marg[p[:, 0]]
-            ranking = float(self.lambda2 * np.maximum(0.0, args).sum())
+        if self.lambda2 > 0 and len(self.more):
+            args = marg[self.less]
+            args -= marg[self.more]
             active = args > 0.0
+            ranking = float(self.lambda2 * np.maximum(0.0, args, out=args).sum())
         loss = LossBreakdown(pushpull=pushpull, l1=l1, ranking=ranking)
-        return loss, ObjectiveCache(kernel=K, active=active)
+        return loss, ObjectiveCache(tiles=tiles, active=active)
 
     def gradient(self, L, cache: ObjectiveCache) -> np.ndarray:
         """Gradient of the smooth loss terms (push/pull + ranking) in L.
 
         ``cache`` must be what ``value`` returned for this same L; its
-        kernel (zero diagonal) and active hinge pairs are read, not
+        kernel tiles (zero diagonal) and active hinge pairs are read, not
         recomputed. The L1 term is excluded; the proximal step owns it.
         Derivation: each kernel value k = exp(-||L d||^2) contributes
         dk/dL = -2 k L d d^T, and the smooth loss is sum_ij K_ij (M B^T)_ij
@@ -179,10 +184,10 @@ class Objective:
         -2 L (X^T diag(r) X - X^T A X - X^T A^T X) for A = K * (M B^T),
         never formed: r = rowsum(M * (K B)) + rowsum(B * (K M)) and
         X^T A X = sum_c (M_c * X)^T K (B_c * X). All four products with K
-        come from one GEMM, K [B | B_0 * X | B_1 * X | M], an n x (4 + 2m)
-        matrix, so the kernel is read once. With a unit diagonal the self
-        terms would cancel only in exact arithmetic, which fails at a
-        near-identity kernel.
+        come from one product, K [B | B_0 * X | B_1 * X | M] with an
+        n x (4 + 2m) matrix, taken tile by tile, so each tile is read once.
+        With a unit diagonal the self terms would cancel only in exact
+        arithmetic, which fails at a near-identity kernel.
         """
         L = _check_metric(L)
         X = self.data.X
@@ -191,12 +196,12 @@ class Objective:
         # coefficient of each instance's margin in the smooth loss
         coef = np.full(n, -1.0)
         if cache.active is not None:
-            p = self.pairs
-            gain = (np.bincount(p[:, 1], weights=cache.active, minlength=n)
-                    - np.bincount(p[:, 0], weights=cache.active, minlength=n))
+            weights = cache.active.astype(np.float64)
+            gain = (np.bincount(self.less, weights=weights, minlength=n)
+                    - np.bincount(self.more, weights=weights, minlength=n))
             coef += self.lambda2 * gain
         M = coef[:, None] * self.W
-        KP = cache.kernel @ np.concatenate([self.rhs, M], axis=1)
+        KP = _tile_product(cache.tiles, np.concatenate([self.rhs, M], axis=1))
         r = np.einsum("ic,ic->i", M, KP[:, :2]) + np.einsum("ic,ic->i", B, KP[:, -2:])
         KBX = (KP[:, 2 : 2 + m], KP[:, 2 + m : 2 + 2 * m])
         XAX = sum((M[:, c, None] * X).T @ KBX[c] for c in (0, 1))

@@ -141,9 +141,10 @@ def fit(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     with ``stop_reason`` "step_underflow".
 
     One ``Objective`` serves the whole fit. The starting loss and every
-    line-search trial compute exactly one kernel matrix; the accepted
-    trial's cache (kernel and active pairs) feeds the next gradient and is
-    then dropped, so only one n x n kernel is alive while later trials run.
+    line-search trial build the kernel's upper tiles exactly once; the
+    accepted trial's cache (tiles and active pairs) feeds the next gradient
+    and is then dropped, so only one set of tiles is alive while later
+    trials run. The ranking pairs live only in the Objective.
     Floating-point overflow, invalid operations and division by zero raise
     NumericalFailureError; the kernel underflows by design, so underflow does not.
 
@@ -170,6 +171,7 @@ def _descend(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
 
     pairs = build_ranking_pairs(data.y, data.c) if cfg.lambda2 > 0 else RankingPairs()
     objective = Objective(data, pairs, cfg.lambda1, cfg.lambda2)
+    del pairs
 
     loss, cache = objective.value(L)
     if not np.isfinite(loss.total):
@@ -181,7 +183,7 @@ def _descend(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
 
     for k in range(cfg.max_iters):
         g = objective.gradient(L, cache)
-        cache = None  # free this kernel before the trials build theirs
+        cache = None  # free these tiles before the trials build theirs
         while eta >= _MIN_STEP:
             L_new = soft_threshold(L - eta * g, eta * cfg.lambda1)
             loss_new, cache = objective.value(L_new)

@@ -363,3 +363,86 @@ class TestObjective:
                 assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
                 cfg = TrainConfig(lambda1=0.3, lambda2=lambda2)
                 assert np.array_equal(g, smooth_gradient(L, data, cfg, pairs))
+
+
+class TestUpperTiles:
+    """Tiles 3-5 rows wide, so every n below has several tiles and a partial
+    edge tile; each result must still match the full-kernel formula."""
+
+    @pytest.fixture(params=[3, 4, 5])
+    def side(self, request, monkeypatch):
+        import confmetric.metric as metric
+
+        monkeypatch.setattr(metric, "_BLOCK_BYTES", 8 * request.param ** 2)
+        return request.param
+
+    SIZES = (11, 13, 17)
+
+    def test_similarity_scores_match_full_kernel(self, side):
+        rng = np.random.default_rng(21)
+        for n in self.SIZES:
+            data = random_dataset(rng, n=n)
+            for _ in range(3):
+                L = rng.normal(size=(int(rng.integers(1, 4)), 3))
+                K = kernel_matrix(L, data.X)
+                np.fill_diagonal(K, 0.0)
+                onehot = np.eye(2)[data.y]
+                ref = (K @ onehot) / (onehot.sum(axis=0) - onehot)
+                S = similarity_scores(L, data)
+                assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("lambda2,n_pairs", [(0.0, None), (1.5, None), (0.7, 5)])
+    def test_gradient_matches_dense_formula(self, side, lambda2, n_pairs):
+        rng = np.random.default_rng(22)
+        for n in self.SIZES:
+            data = random_dataset(rng, n=n)
+            pairs = pair_subset(data, n_pairs, seed=4)
+            objective = Objective(data, pairs, 0.3, lambda2)
+            for _ in range(3):
+                L = rng.normal(size=(int(rng.integers(1, 4)), 3)) * 0.6
+                g = objective.gradient(L, objective.value(L)[1])
+                ref = dense_gradient(L, data, lambda2, pairs)
+                assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_ranking_matches_pair_formula(self, side):
+        rng = np.random.default_rng(23)
+        for n in self.SIZES:
+            data = random_dataset(rng, n=n)
+            pairs = build_ranking_pairs(data.y, data.c)
+            objective = Objective(data, pairs, 0.3, 1.5)
+            for _ in range(3):
+                L = rng.normal(size=(int(rng.integers(1, 4)), 3))
+                S = similarity_scores(L, data)
+                marg = S[np.arange(n), data.y] - S[np.arange(n), 1 - data.y]
+                hinge = np.maximum(0.0, marg[pairs.pairs[:, 1]] - marg[pairs.pairs[:, 0]])
+                assert objective.value(L)[0].ranking == float(1.5 * hinge.sum())
+
+    def test_cache_holds_only_upper_tiles(self, side):
+        rng = np.random.default_rng(24)
+        for n in self.SIZES:
+            data = random_dataset(rng, n=n)
+            L = rng.normal(size=(2, 3))
+            tiles = Objective(data, RankingPairs(), 0.3, 0.0).value(L)[1].tiles
+            assert len(tiles) > 1
+            assert all(max(T.shape) <= side for _, _, T in tiles)
+            assert sum(T.size for _, _, T in tiles) <= (n * n + n * side) / 2
+            # the tiles and their mirrors cover the kernel exactly once
+            K = np.full((n, n), np.nan)
+            for rows, cols, T in tiles:
+                assert np.isnan(K[rows, cols]).all()
+                K[rows, cols], K[cols, rows] = T, T.T
+            full = kernel_matrix(L, data.X)
+            np.fill_diagonal(full, 0.0)
+            assert np.abs(K - full).max() <= 1e-13
+
+    def test_one_tile_equals_kernel_matrix(self):
+        # at n <= 256 the one tile is kernel_matrix's product, bit for bit,
+        # so small fits give the same numbers as the full-kernel formula
+        rng = np.random.default_rng(25)
+        for n in (4, 40, 256):
+            data = random_dataset(rng, n=n)
+            L = rng.normal(size=(3, 3)) * 0.5
+            (rows, cols, T), = Objective(data, RankingPairs(), 0.3, 0.0).value(L)[1].tiles
+            K = kernel_matrix(L, data.X)
+            np.fill_diagonal(K, 0.0)
+            assert T.shape == (n, n) and np.array_equal(T, K)

@@ -11,7 +11,6 @@ from confmetric import (
     camel_cl_loss,
     fit,
     init_metric,
-    kernel_matrix,
     soft_threshold,
     synth_generate,
 )
@@ -165,16 +164,17 @@ class TestFit:
 
         kernels, values = [], []
         value = objective.Objective.value
+        upper_tiles = objective._upper_tiles
 
-        def counting_kernel_matrix(*args, **kwargs):
+        def counting_upper_tiles(*args, **kwargs):
             kernels.append(1)
-            return kernel_matrix(*args, **kwargs)
+            return upper_tiles(*args, **kwargs)
 
         def counting_value(self, L):
             values.append(1)
             return value(self, L)
 
-        monkeypatch.setattr(objective, "kernel_matrix", counting_kernel_matrix)
+        monkeypatch.setattr(objective, "_upper_tiles", counting_upper_tiles)
         monkeypatch.setattr(objective.Objective, "value", counting_value)
         data = small_dataset(seed=14)
         for lambda2 in (0.0, 1.0):
