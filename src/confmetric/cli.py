@@ -21,7 +21,7 @@ from .data_io import (
     load_csv,
     read_columns,
     read_header,
-    read_json_config,
+    read_json,
     save_csv,
     synth_generate,
     write_csv,
@@ -155,7 +155,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = ExperimentConfig.from_dict(read_json_config(args.config, "experiment config"))
+    cfg = ExperimentConfig.from_dict(read_json(args.config, "invalid experiment config"))
     records = run_experiment(cfg)
     write_results_csv(args.out, records)
     rows = summarize(records)
@@ -171,7 +171,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.config:
-        cfg = config_from_dict(SynthConfig, read_json_config(args.config, "synth config"),
+        cfg = config_from_dict(SynthConfig, read_json(args.config, "invalid synth config"),
                                "synth config")
     else:
         cfg = _config_from_args(SynthConfig, args)

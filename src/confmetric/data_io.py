@@ -70,13 +70,17 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def read_json_config(path, what: str) -> dict:
-    """Parse a JSON config file; a syntax error is a ValidationError."""
+def read_json(path, prefix: str):
+    """Parse a JSON file. Any parse failure is a ValidationError whose message
+    starts with prefix: bad syntax, nesting past the recursion limit, or an
+    integer longer than Python's digit limit."""
     with open(path, encoding="utf-8") as fh, decoding_errors(path):
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid {what}: {exc}") from None
+        except UnicodeDecodeError:  # a ValueError that decoding_errors words
+            raise
+        except (RecursionError, ValueError) as exc:
+            raise ValidationError(f"{prefix}: {exc}") from None
 
 
 def check_config_keys(raw, required, optional, what: str):

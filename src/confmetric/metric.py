@@ -189,7 +189,7 @@ def _upper_tiles(L, X, B) -> tuple[list[tuple[slice, slice, np.ndarray]], np.nda
     # the tiles over i <= j hold (n^2 + sum of squared tile heights) / 2 floats
     buf = np.empty((n * n + (n - edge) * side + edge * edge) // 2)
     d2 = np.empty(min(side, n) ** 2)
-    tiles, KB, used = [], np.empty((n, B.shape[1])), 0
+    tiles, KB, used = [], np.zeros((n, B.shape[1])), 0
     for i in range(0, n, side):
         rows = slice(i, i + side)
         h = min(side, n - i)
@@ -209,27 +209,15 @@ def _upper_tiles(L, X, B) -> tuple[list[tuple[slice, slice, np.ndarray]], np.nda
 
 def _tile_into(out, rows, cols, T, P) -> None:
     """Add the tile T = K[rows, cols]'s share of K @ P to out: T @ P[cols],
-    and off the diagonal its mirror's T^T @ P[rows].
-
-    Tiles come in row-major order over i <= j, so tile row 0 reaches every
-    block of out first and writes it rather than adding to it.
-    """
-    top = rows.start == 0
-    if top and cols.start == 0:
-        np.matmul(T, P[cols], out=out[rows])
-    else:
-        out[rows] += T @ P[cols]
-    if rows.start == cols.start:
-        return
-    if top:
-        np.matmul(T.T, P[rows], out=out[cols])
-    else:
+    and off the diagonal its mirror's T^T @ P[rows]."""
+    out[rows] += T @ P[cols]
+    if rows.start != cols.start:
         out[cols] += T.T @ P[rows]
 
 
 def _tile_product(tiles, P) -> np.ndarray:
     """K @ P for the symmetric kernel K whose upper tiles are ``tiles``."""
-    out = np.empty(P.shape)
+    out = np.zeros(P.shape)
     for rows, cols, T in tiles:
         _tile_into(out, rows, cols, T, P)
     return out

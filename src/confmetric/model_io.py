@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import decoding_errors
+from .data_io import read_json
 from .dataset import Dataset
 from .errors import SchemaMismatchError, ValidationError
 
@@ -72,11 +72,7 @@ def load_model(path) -> ModelFile:
     command that reads a model accepts and rejects the same files. Any fault
     in the file is a ValidationError.
     """
-    try:
-        with open(path, encoding="utf-8") as fh, decoding_errors(path):
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"corrupt model file: {exc}") from None
+    payload = read_json(path, "corrupt model file")
     if not isinstance(payload, dict):
         raise ValidationError("corrupt model file: not a JSON object")
     try:

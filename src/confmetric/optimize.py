@@ -14,7 +14,6 @@ and no global-optimality claim is made.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,8 +111,9 @@ def init_metric(m: int, m_prime: int, data: Dataset, seed: int) -> np.ndarray:
     The initial scale doubles as the initial kernel bandwidth, so
     ``np.eye(m_prime, m)`` is rescaled so the median projected squared
     distance over up to 1000 seeded random training pairs equals 1. A
-    median of exactly 0 (duplicate-only data) falls back to scale 1 with a
-    warning.
+    median of exactly 0 (duplicate-only data) gives no scale to take, so the
+    pattern keeps unit scale; that is a valid start, not a fault, and is
+    returned without a warning.
     """
     if m < 1 or m_prime < 1:
         raise ValidationError("matrix dimensions must be positive")
@@ -125,10 +125,7 @@ def init_metric(m: int, m_prime: int, data: Dataset, seed: int) -> np.ndarray:
     j[j >= i] += 1  # uniform over j != i
     deltas = (data.X[i] - data.X[j]) @ base.T
     med = float(np.median(np.einsum("ij,ij->i", deltas, deltas)))
-    if med == 0.0:
-        warnings.warn("median pairwise distance is zero; using unit scale")
-        return base
-    return base / np.sqrt(med)
+    return base / np.sqrt(med) if med > 0.0 else base
 
 
 def fit(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:

@@ -384,6 +384,41 @@ def probe_oversized_field(where, tmp_path, capsys):
             "--out", str(tmp_path / "m.json"), "--trace", str(tmp_path / "out.csv")]
 
 
+# 200,000 nested arrays, far past the JSON decoder's recursion limit
+DEEP_JSON = "[" * 200_000
+# longer than Python's 4,300-digit limit on parsing an integer
+HUGE_INT = "9" * 5000
+
+
+def probe_json_file(command, text, tmp_path, capsys):
+    """A command whose JSON input, a config or a model file, holds text."""
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    out = str(tmp_path / "out.csv")
+    if command == "predict":
+        return ["predict", "--model", str(path), "--data", str(make_data(tmp_path, capsys)),
+                "--out", out]
+    if command == "inspect":
+        return ["inspect", "--model", str(path), "--heatmap", out,
+                "--stats", str(tmp_path / "stats.csv")]
+    if command == "experiment":
+        return ["experiment", "--config", str(path), "--out", out,
+                "--summary", str(tmp_path / "summary.csv")]
+    return ["synth", "--config", str(path), "--out", out]
+
+
+def probe_huge_format_version(tmp_path, capsys):
+    """A model file whose format_version is an integer of 5,000 digits: past the
+    digit limit it does not parse, and without the limit it is not version 1."""
+    data, model = trained_model(tmp_path, capsys)
+    text = model.read_text()
+    edited = text.replace('"format_version": 1,', f'"format_version": {HUGE_INT},', 1)
+    assert edited != text
+    model.write_text(edited)
+    return ["predict", "--model", str(model), "--data", str(data),
+            "--confidence", "confidence", "--out", str(tmp_path / "out.csv")]
+
+
 def probe_experiment(drop, tmp_path, capsys, **overrides):
     cfg = experiment_config(tmp_path, **overrides)
     raw = json.loads(cfg.read_text())
@@ -486,6 +521,17 @@ MALFORMED_INPUTS = {
     "evaluate-row-count-mismatch": (probe_short_predictions, "validation"),
     "predict-header-only": (probe_header_only, "validation"),
     "model-without-training-rows": (probe_model_without_rows, "validation"),
+    **{f"{command}-deep-nesting": (functools.partial(probe_json_file, command, DEEP_JSON),
+                                   "validation")
+       for command in ("experiment", "synth", "inspect", "predict")},
+    # without a digit limit the value fails SynthConfig's float range instead
+    "synth-config-huge-integer": (
+        functools.partial(probe_json_file, "synth",
+                          '{"n": 20, "m": 3, "m_informative": 1, '
+                          f'"cluster_separation": {HUGE_INT}}}'),
+        "validation",
+    ),
+    "model-huge-format-version": (probe_huge_format_version, "validation"),
 }
 
 

@@ -1,3 +1,4 @@
+import sys
 import warnings
 from unittest import mock
 
@@ -115,6 +116,31 @@ class TestLoadCsv:
         p.write_bytes(b"f0,label\n1.0,1\n\xff\xfe,0\n")
         with pytest.raises(ValidationError, match=r"data\.csv is not UTF-8 text"):
             load_csv(p, DatasetSchema(["f0"], "label"))
+
+
+class TestReadJson:
+    def read(self, tmp_path, content: bytes):
+        p = tmp_path / "input.json"
+        p.write_bytes(content)
+        return data_io.read_json(p, "invalid test config")
+
+    def test_syntax_error(self, tmp_path):
+        with pytest.raises(ValidationError, match="^invalid test config: Expecting"):
+            self.read(tmp_path, b"{not json")
+
+    def test_nesting_past_the_recursion_limit(self, tmp_path):
+        with pytest.raises(ValidationError, match="^invalid test config: .*recursion"):
+            self.read(tmp_path, b"[" * 200_000)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no integer digit limit")
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        with pytest.raises(ValidationError, match="^invalid test config: .*digits"):
+            self.read(tmp_path, b"[" + b"9" * 5000 + b"]")
+
+    def test_undecodable_bytes_keep_their_own_message(self, tmp_path):
+        with pytest.raises(ValidationError, match=r"^\S*input\.json is not UTF-8 text"):
+            self.read(tmp_path, b'{"a": "\xff\xfe"}')
 
 
 def read_both(path, *args):

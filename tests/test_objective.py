@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from confmetric import (
     Dataset,
@@ -287,6 +289,31 @@ class TestSmoothGradient:
         g_with = smooth_gradient(L, data, TrainConfig(lambda2=0.0), pairs)
         g_without = smooth_gradient(L, data, TrainConfig(lambda2=0.0), RankingPairs())
         assert np.array_equal(g_with, g_without)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(6, 14),
+    m=st.integers(1, 4),
+    m_prime=st.integers(1, 4),
+    lambda2=st.sampled_from([0.0, 0.5, 2.0]),
+    log_scale=st.floats(-1.0, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradient_matches_finite_differences_property(n, m, m_prime, lambda2, log_scale,
+                                                      seed):
+    """Objective.gradient against central differences of pushpull + ranking,
+    with the hinge on and off. A draw with a hinge argument within 1e-7 of
+    its kink is skipped, as gate 1 skips it."""
+    rng = np.random.default_rng(seed)
+    data = random_dataset(rng, n=n, m=m)
+    L = rng.normal(size=(m_prime, m)) * 10.0**log_scale
+    pairs = build_ranking_pairs(data.y, data.c) if lambda2 > 0 else RankingPairs()
+    assume(not hinge_near_kink(L, data, pairs))
+    objective = Objective(data, pairs, 0.3, lambda2)
+    g = objective.gradient(L, objective.value(L)[1])
+    fd = finite_difference(L, data, TrainConfig(lambda1=0.3, lambda2=lambda2), pairs)
+    assert np.abs(g - fd).max() <= 1e-5 * max(np.abs(fd).max(), 1e-12)
 
 
 def dense_gradient(L, data, lambda2, pairs):

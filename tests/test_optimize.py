@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,10 +81,11 @@ class TestInitMetric:
         L2 = init_metric(5, 5, scaled, seed=3)
         assert np.allclose(L2 * 10.0, L1, rtol=1e-12)
 
-    def test_duplicate_only_data_warns_and_uses_unit_scale(self):
+    def test_duplicate_only_data_uses_unit_scale_silently(self):
         X = np.zeros((6, 2))
         data = Dataset(X, [0, 0, 0, 1, 1, 1])
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             L = init_metric(2, 2, data, seed=0)
         assert np.array_equal(L, np.eye(2))
 
@@ -210,8 +213,8 @@ class TestFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the kernel, kernel_matrix's scratch buffer and the ranking pairs;
-        # an n x n weight matrix stored for the whole fit would exceed it
+        # one kernel's upper tiles, the ranking pairs and the hinge's per-pair
+        # arrays; an n x n weight matrix stored for the whole fit would exceed it
         assert peak <= 3.0 * 8 * n * n
         (objective,) = built
         assert all(np.size(v) < n * n for v in vars(objective).values())
