@@ -34,7 +34,6 @@ from .evaluate import (
 from .metric import (
     class_similarity,
     confidence_score,
-    kernel_matrix,
     kernel_similarity,
     positive_scores,
     score_rows,
@@ -68,9 +67,8 @@ __all__ = [
     "summarize", "write_results_csv", "write_summary_csv",
     "FeatureWeightStats", "auroc", "feature_weight_stats",
     "heatmap_matrix", "n_zero_rows", "row_rank", "sparsity",
-    "class_similarity", "confidence_score", "kernel_matrix",
-    "kernel_similarity", "positive_scores", "score_rows", "similarity_scores",
-    "squared_distance",
+    "class_similarity", "confidence_score", "kernel_similarity",
+    "positive_scores", "score_rows", "similarity_scores", "squared_distance",
     "ModelFile", "load_model", "save_model", "schema_fingerprint",
     "LossBreakdown", "RankingPairs",
     "build_ranking_pairs", "camel_cl_loss", "camel_loss", "margin",

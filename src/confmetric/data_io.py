@@ -107,6 +107,13 @@ def _numbers(*values) -> bool:
                or (_integers(v) and abs(v) <= sys.float_info.max) for v in values)
 
 
+def _array_fits(*dims) -> bool:
+    """True when numpy can describe a float64 array of these dimensions: its
+    byte count fits np.intp. A larger one fails with a ValueError, before any
+    allocation could raise MemoryError."""
+    return math.prod(dims) * np.dtype(np.float64).itemsize <= np.iinfo(np.intp).max
+
+
 def config_from_dict(cls, raw, what: str, extra=()):
     """cls built by field name from the JSON object raw, which also holds the keys in
     extra (read by the caller); a list field must be a JSON array."""
@@ -185,6 +192,8 @@ class SynthConfig:
             raise ValidationError("m_informative must lie in [1, m]")
         if self.n < 4:
             raise ValidationError("n must be at least 4")
+        if not _array_fits(self.n, self.m):
+            raise ValidationError("n * m is too large for a numpy array")
         if not 0.0 < self.class_balance < 1.0:
             raise ValidationError("class_balance must lie in (0, 1)")
         if min(self.seed, self.cluster_separation, self.confidence_noise) < 0:

@@ -8,17 +8,12 @@ distance with bandwidth absorbed into the scale of L.
 
 ``score_rows`` is the one query scorer: it returns the scores together with
 how many rows were degenerate, which ``confmetric predict`` reports.
-``positive_scores`` returns only the scores and warns once about those rows;
-the experiment harness calls it.
+``positive_scores`` returns only the scores and warns once about those rows.
 
-Kernels are evaluated in row blocks of about ``_BLOCK_BYTES`` each, so the
-elementwise work runs in cache rather than streaming n x n buffers through
-memory once per step. ``kernel_matrix`` computes its one Gram product
-``W Z^T`` straight into the returned array (a single BLAS call, so the
-result is bit-identical to the plain expression) and then turns it into
-kernel values one block at a time; ``score_rows`` computes the Gram
-product block by block as well and keeps only each block's two class sums,
-so it never holds a query-by-reference kernel.
+There are two kernel builders, one per job, and neither forms a full kernel.
+``score_rows`` computes the query-by-reference Gram product in row blocks of
+about ``_BLOCK_BYTES`` each, turns each block into kernel values while it is
+in cache and keeps only the block's two class sums.
 
 The training kernel, which fitting rebuilds at every loss evaluation, is
 symmetric, so ``_upper_tiles`` builds only its square tiles at or above the
@@ -28,9 +23,11 @@ zeroed diagonal, and gives its share of the class sums (``K_ij B_j`` and
 ``K_ij^T B_i``) while it is in cache; ``similarity_scores`` and the
 objective read those sums, and the gradient takes its product with K from
 the same tiles, so fitting never forms an n x n array. A diagonal tile's
-Gram product takes numpy's SYRK path, as ``kernel_matrix`` does, so at
-n <= 256 the tiles equal ``kernel_matrix`` bit for bit; larger kernels can
-differ from it in the last digit. ``kernel_matrix`` stays the reference.
+Gram product takes numpy's SYRK path, as the plain ``Z @ Z.T`` does, so at
+n <= 256 the one tile equals the plain expression ``exp(-max(d2, 0))`` bit
+for bit; larger kernels can differ from it in the last digit.
+``class_similarity`` takes its mean from row differences instead, apart from
+both builders.
 
 Underflow rule: ``exp(-d2)`` is 0.0 exactly for every ``d2 >= 746``, and
 fitting drives nearly every off-diagonal distance far past that. numpy's
@@ -95,22 +92,14 @@ _BLOCK_BYTES = 512 * 1024
 _EXP_ZERO = 746.0
 
 
-def _projections(L, X, Q):
-    """Query rows W = Q L^T and reference rows Z = X L^T, with their squared
-    norms; W is Z when Q is None."""
-    L = _check_metric(L)
-    X = np.asarray(X, dtype=np.float64)
+def _project(L, X, what: str):
+    """Rows Z = X L^T of a checked L and their squared norms; what names X's
+    rows in the dimension error."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != L.shape[1]:
-        raise DimensionMismatchError("feature dimension does not match metric columns")
+        raise DimensionMismatchError(f"{what} dimension does not match metric columns")
     Z = X @ L.T
-    sq_z = np.einsum("ij,ij->i", Z, Z)
-    if Q is None:
-        return Z, Z, sq_z, sq_z
-    Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
-    if Q.shape[1] != L.shape[1]:
-        raise DimensionMismatchError("query dimension does not match metric columns")
-    W = Q @ L.T
-    return W, Z, np.einsum("ij,ij->i", W, W), sq_z
+    return Z, np.einsum("ij,ij->i", Z, Z)
 
 
 def _block_height(cols: int) -> int:
@@ -155,24 +144,6 @@ def _kernel_rows(G, sq_w, sq_z, d2) -> None:
     _exp_neg(d2, G)
 
 
-def kernel_matrix(L, X, Q=None) -> np.ndarray:
-    """Pairwise Gaussian-kernel similarities between rows of Q and rows of X.
-
-    With Q omitted, returns the symmetric (n, n) matrix over X with unit
-    diagonal. Distances are clipped at zero to absorb cancellation error.
-    """
-    W, Z, sq_w, sq_z = _projections(L, X, Q)
-    K = W @ Z.T
-    h = _block_height(K.shape[1])
-    d2 = np.empty((min(h, K.shape[0]), K.shape[1]))
-    for i in range(0, K.shape[0], h):
-        G = K[i : i + h]
-        _kernel_rows(G, sq_w[i : i + h], sq_z, d2[: G.shape[0]])
-    if W is Z:
-        np.fill_diagonal(K, 1.0)
-    return K
-
-
 def _upper_tiles(L, X, B) -> tuple[list[tuple[slice, slice, np.ndarray]], np.ndarray]:
     """The Gaussian kernel K over X's rows, zero diagonal, as its upper tiles,
     and K @ B.
@@ -183,7 +154,7 @@ def _upper_tiles(L, X, B) -> tuple[list[tuple[slice, slice, np.ndarray]], np.nda
     the diagonal), ``_kernel_rows``, and its share of K @ B. The tiles hold
     (n^2 + n * side) / 2 floats at most.
     """
-    Z, _, sq, _ = _projections(L, X, None)
+    Z, sq = _project(_check_metric(L), X, "feature")
     n, side = Z.shape[0], math.isqrt(_BLOCK_BYTES // 8)
     edge = n % side  # the last tile row's height, when it is partial
     # the tiles over i <= j hold (n^2 + sum of squared tile heights) / 2 floats
@@ -258,8 +229,8 @@ def class_similarity(L, data: Dataset, i: int, y: int) -> float:
     mask[i] = False
     if not mask.any():
         raise DegenerateClassError(f"no instances of class {y} besides instance {i}")
-    K = kernel_matrix(L, data.X[mask], Q=data.X[i])
-    return float(K.mean())
+    _, d2 = _project(_check_metric(L), data.X[mask] - data.X[i], "feature")
+    return float(np.exp(-d2).mean())
 
 
 def confidence_score(s_y: float, s_not_y: float) -> float:
@@ -285,14 +256,17 @@ def confidence_score(s_y: float, s_not_y: float) -> float:
 def score_rows(L, train: Dataset, X) -> tuple[np.ndarray, int]:
     """Confidence s1 / (s0 + s1) in class 1 for each row of X, where s_y is
     the row's mean similarity to the label-y rows of train (no self-exclusion),
-    and how many rows had s0 = s1 = 0 (underflow) and so score 0.5.
+    and how many rows had s0 = s1 = 0 (underflow) and so score 0.5. A NaN
+    similarity (from a metric whose projections overflow) scores NaN.
 
     Raises DegenerateClassError if train lacks a class.
     """
     n0, n1 = train.class_counts()
     if n0 < 1 or n1 < 1:
         raise DegenerateClassError(f"no training instances of class {int(n0 >= 1)}")
-    W, Z, sq_w, sq_z = _projections(L, train.X, X)
+    L = _check_metric(L)
+    Z, sq_z = _project(L, train.X, "feature")
+    W, sq_w = _project(L, X, "query")
     onehot = np.eye(2)[train.y]
     q, n = W.shape[0], Z.shape[0]
     h = _block_height(n)
@@ -307,7 +281,7 @@ def score_rows(L, train: Dataset, X) -> tuple[np.ndarray, int]:
     S /= np.array([n0, n1], dtype=np.float64)
     total = S[:, 0] + S[:, 1]
     scores = np.full(total.shape, 0.5)
-    np.divide(S[:, 1], total, out=scores, where=total > 0.0)
+    np.divide(S[:, 1], total, out=scores, where=total != 0.0)
     return scores, int(np.count_nonzero(total == 0.0))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_io import _integers, _numbers
+from .data_io import _array_fits, _integers, _numbers
 from .dataset import Dataset
 from .errors import (
     DegenerateClassError,
@@ -117,6 +117,8 @@ def init_metric(m: int, m_prime: int, data: Dataset, seed: int) -> np.ndarray:
     """
     if m < 1 or m_prime < 1:
         raise ValidationError("matrix dimensions must be positive")
+    if not _array_fits(m_prime, m):
+        raise ValidationError("proj_dim * m is too large for a numpy array")
     rng = np.random.default_rng([seed, _INIT_STREAM])
     base = np.eye(m_prime, m)
     n_pairs = min(1000, data.n * (data.n - 1))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -532,6 +533,21 @@ MALFORMED_INPUTS = {
         "validation",
     ),
     "model-huge-format-version": (probe_huge_format_version, "validation"),
+    # sizes past np.intp, which numpy cannot describe, let alone allocate
+    "synth-n-past-intp": (
+        functools.partial(probe_synth_flag, "--n", str(10**30)), "validation",
+    ),
+    "synth-config-400-digit-n": (
+        functools.partial(probe_json_file, "synth",
+                          f'{{"n": {"9" * 400}, "m": 3, "m_informative": 1}}'),
+        "validation",
+    ),
+    "train-proj-dim-past-intp": (
+        functools.partial(probe_train_flag, "--proj-dim", str(10**30)), "validation",
+    ),
+    "train-proj-dim-bytes-past-intp": (
+        functools.partial(probe_train_flag, "--proj-dim", str(10**18)), "validation",
+    ),
 }
 
 
@@ -859,6 +875,33 @@ class TestExperiment:
             "10,camel,2,2,0.75,0.0,0.5,0.0,2.0,0.0",
             "10,camel_cl,1,0,,,,,,",
         ]
+
+    def test_collapsed_fit_prints_nothing_on_stderr(self, tmp_path, capsys):
+        # lambda2 = 500 sends every kernel value to 0, so most held-out rows
+        # are degenerate; they show in the AUROC values, not as warnings
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "trials": 1, "train_sizes": [40], "max_iters": 5,
+            "hyper_grid": {"lambda1": [4.0], "lambda2": [500]}, "methods": ["camel_cl"],
+            "data": {"synth": {"n": 200, "m": 4, "m_informative": 2, "seed": 1}}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "experiment", "--config", str(cfg),
+                                 "--out", str(tmp_path / "r.csv"),
+                                 "--summary", str(tmp_path / "s.csv"))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["errors"] == 0
+
+    def test_proj_dim_past_intp_is_a_cell_error(self, tmp_path, capsys):
+        cfg = experiment_config(tmp_path, trials=1, train_sizes=[15], proj_dim=10**30)
+        results = tmp_path / "results.csv"
+        code, out, _ = run(capsys, "experiment", "--config", str(cfg), "--out", str(results),
+                           "--summary", str(tmp_path / "summary.csv"))
+        assert code == 0
+        assert json.loads(out)["errors"] == 2
+        with open(results) as fh:
+            errors = [row["error"] for row in csv.DictReader(fh)]
+        assert errors == ["validation: proj_dim * m is too large for a numpy array"] * 2
 
     def test_invalid_config_rejected(self, tmp_path, capsys):
         cfg = experiment_config(tmp_path, trials=0)

@@ -13,7 +13,6 @@ from confmetric import (
     DimensionMismatchError,
     class_similarity,
     confidence_score,
-    kernel_matrix,
     kernel_similarity,
     positive_scores,
     score_rows,
@@ -125,18 +124,6 @@ def seed_order_kernel(L, X, Q=None):
     return K
 
 
-class TestKernelMatrix:
-    def test_bit_identical_to_plain_expression(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            n, q, m = rng.integers(1, 40, size=3)
-            L = rng.normal(size=(int(rng.integers(1, 6)), m)) * rng.uniform(0.1, 3.0)
-            X = rng.normal(size=(n, m))
-            Q = rng.normal(size=(q, m))
-            assert np.array_equal(kernel_matrix(L, X), seed_order_kernel(L, X))
-            assert np.array_equal(kernel_matrix(L, X, Q), seed_order_kernel(L, X, Q))
-
-
 def plain_d2(L, X):
     """Clipped squared distances between rows of X, as seed_order_kernel forms them."""
     Z = X @ L.T
@@ -163,14 +150,24 @@ class TestBlockedKernel:
         assert np.exp(-745.0) > 0.0
 
     def test_many_blocks_bit_identical(self, tiny_blocks):
+        # ten-row tiles: each is np.exp's plain expression on its own Gram
+        # product, edge tiles and zeroed diagonals included
         rng = np.random.default_rng(21)
         for _ in range(20):
-            n, q, m = (int(v) for v in rng.integers(1, 60, size=3))
+            n, m = (int(v) for v in rng.integers(1, 60, size=2))
             L = rng.normal(size=(int(rng.integers(1, 6)), m)) * rng.uniform(0.1, 3.0)
             X = rng.normal(size=(n, m))
-            Q = rng.normal(size=(q, m))
-            assert np.array_equal(kernel_matrix(L, X), seed_order_kernel(L, X))
-            assert np.array_equal(kernel_matrix(L, X, Q), seed_order_kernel(L, X, Q))
+            Z = X @ L.T
+            sq = np.einsum("ij,ij->i", Z, Z)
+            tiles, _ = metric._upper_tiles(L, X, np.zeros((n, 2)))
+            per_side = -(-n // 10)
+            assert len(tiles) == per_side * (per_side + 1) // 2
+            for rows, cols, T in tiles:
+                d2 = sq[rows, None] + sq[None, cols] - 2.0 * (Z[rows] @ Z[cols].T)
+                ref = np.exp(-np.maximum(d2, 0.0))
+                if rows == cols:
+                    np.fill_diagonal(ref, 0.0)
+                assert np.array_equal(T, ref)
 
     # (d2 range the off-diagonal entries must fall in, how to build X)
     REGIMES = {
@@ -183,30 +180,37 @@ class TestBlockedKernel:
     }
 
     @pytest.mark.parametrize("regime", REGIMES)
-    def test_each_underflow_regime_bit_identical(self, regime, tiny_blocks):
+    def test_each_underflow_regime_bit_identical(self, regime):
         lo_hi, make = self.REGIMES[regime]
-        rng = np.random.default_rng(22)
-        X = make(rng)
+        X = make(np.random.default_rng(22))
         L = np.eye(X.shape[1])
-        off = plain_d2(L, X)[~np.eye(len(X), dtype=bool)]
+        d2 = plain_d2(L, X)
+        off = d2[~np.eye(len(X), dtype=bool)]
         if lo_hi is None:
             for lo, hi in ((0.0, 708.0), (708.0, 746.0), (746.0, math.inf)):
                 assert np.any((off > lo) & (off < hi))
         else:
             assert np.all((off > lo_hi[0]) & (off < lo_hi[1]))
-        assert np.array_equal(kernel_matrix(L, X), seed_order_kernel(L, X))
-        Q = make(np.random.default_rng(23))[:7]
-        assert np.array_equal(kernel_matrix(L, X, Q), seed_order_kernel(L, X, Q))
+        out = np.empty_like(d2)
+        metric._exp_neg(d2, out)
+        assert np.array_equal(out, np.exp(-d2))
+        # 40 rows are one tile
+        (_, _, T), = metric._upper_tiles(L, X, np.zeros((len(X), 2)))[0]
+        K = seed_order_kernel(L, X)
+        np.fill_diagonal(K, 0.0)
+        assert np.array_equal(T, K)
 
     def test_overflowing_norms_stay_nan(self, tiny_blocks):
+        # NaN kernel values reach the loss, so a failing fit is caught
         rng = np.random.default_rng(24)
         X = rng.normal(size=(30, 3))
+        y = np.arange(30) % 2
         L = 1e200 * np.eye(3)
         with np.errstate(all="ignore"):
-            K = kernel_matrix(L, X)
-            oracle = seed_order_kernel(L, X)
-        assert np.isnan(K).any()
-        assert np.array_equal(K, oracle, equal_nan=True)
+            tiles, KB = metric._upper_tiles(L, X, np.eye(2)[y])
+            scores, _ = score_rows(L, Dataset(X, y), X[:7])
+        assert all(np.isnan(T).any() for _, _, T in tiles)
+        assert np.isnan(KB).all() and np.isnan(scores).all()
 
     def test_positive_scores_across_blocks(self, tiny_blocks):
         rng = np.random.default_rng(25)
@@ -238,13 +242,6 @@ def traced_peak(fn, *args):
 
 
 class TestKernelMemory:
-    def test_kernel_matrix_holds_one_kernel(self):
-        n = 1500
-        rng = np.random.default_rng(26)
-        X = rng.normal(size=(n, 10))
-        L = rng.normal(size=(10, 10))
-        assert traced_peak(kernel_matrix, L, X) <= 1.1 * 8 * n * n
-
     def test_positive_scores_holds_no_query_kernel(self):
         q, n = 5000, 400
         rng = np.random.default_rng(27)
@@ -252,21 +249,6 @@ class TestKernelMemory:
         L = rng.normal(size=(10, 10)) * 0.1
         Q = rng.normal(size=(q, 10))
         assert traced_peak(positive_scores, L, data, Q) <= 0.25 * 8 * q * n
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(1, 300),
-    m=st.integers(1, 8),
-    m_prime=st.integers(1, 8),
-    log_scale=st.floats(-2.0, 3.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_kernel_matrix_bit_identical_property(n, m, m_prime, log_scale, seed):
-    rng = np.random.default_rng(seed)
-    L = rng.normal(size=(m_prime, m)) * 10.0**log_scale
-    X = rng.normal(size=(n, m))
-    assert np.array_equal(kernel_matrix(L, X), seed_order_kernel(L, X))
 
 
 @settings(max_examples=60, deadline=None)
@@ -302,7 +284,9 @@ class TestClassSimilarityQuery:
         data = Dataset(np.array([[3.0], [4.0]]), [1, 0])
         score = positive_scores(np.eye(1), data, [3.0])[0]
         assert score == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), rel=1e-15)
-        assert kernel_matrix(np.eye(1), data.X[data.y == 1], Q=[[3.0]]).mean() == 1.0
+        # the class-1 mean of a row at the query, with the query as the excluded row
+        at_query = Dataset(np.vstack([[3.0], data.X]), [0, *data.y])
+        assert class_similarity(np.eye(1), at_query, 0, 1) == 1.0
 
     def test_underflow_to_zero(self):
         data = Dataset(np.array([[1e6], [0.0]]), [1, 0])

@@ -14,12 +14,12 @@ from confmetric import (
     build_ranking_pairs,
     camel_cl_loss,
     camel_loss,
-    kernel_matrix,
     margin,
     similarity_scores,
     smooth_gradient,
 )
 from confmetric.objective import Objective
+from test_metric import seed_order_kernel
 
 
 def brute_force_loss(L, X, y, lambda1):
@@ -329,7 +329,7 @@ def dense_gradient(L, data, lambda2, pairs):
                 coef[b] += lambda2
     n1 = int(y.sum())
     sizes = {0: n - n1, 1: n1}
-    K = kernel_matrix(L, X)
+    K = seed_order_kernel(L, X)
     A = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
@@ -411,7 +411,7 @@ class TestUpperTiles:
             data = random_dataset(rng, n=n)
             for _ in range(3):
                 L = rng.normal(size=(int(rng.integers(1, 4)), 3))
-                K = kernel_matrix(L, data.X)
+                K = seed_order_kernel(L, data.X)
                 np.fill_diagonal(K, 0.0)
                 onehot = np.eye(2)[data.y]
                 ref = (K @ onehot) / (onehot.sum(axis=0) - onehot)
@@ -458,18 +458,18 @@ class TestUpperTiles:
             for rows, cols, T in tiles:
                 assert np.isnan(K[rows, cols]).all()
                 K[rows, cols], K[cols, rows] = T, T.T
-            full = kernel_matrix(L, data.X)
+            full = seed_order_kernel(L, data.X)
             np.fill_diagonal(full, 0.0)
             assert np.abs(K - full).max() <= 1e-13
 
-    def test_one_tile_equals_kernel_matrix(self):
-        # at n <= 256 the one tile is kernel_matrix's product, bit for bit,
-        # so small fits give the same numbers as the full-kernel formula
+    def test_one_tile_equals_plain_kernel(self):
+        # at n <= 256 the one tile is the plain expression's kernel, bit for
+        # bit, so small fits give the same numbers as the full-kernel formula
         rng = np.random.default_rng(25)
         for n in (4, 40, 256):
             data = random_dataset(rng, n=n)
             L = rng.normal(size=(3, 3)) * 0.5
             (rows, cols, T), = Objective(data, RankingPairs(), 0.3, 0.0).value(L)[1].tiles
-            K = kernel_matrix(L, data.X)
+            K = seed_order_kernel(L, data.X)
             np.fill_diagonal(K, 0.0)
             assert T.shape == (n, n) and np.array_equal(T, K)
