@@ -27,7 +27,7 @@ from .data_io import (
     write_csv,
 )
 from .dataset import Dataset
-from .errors import ConfmetricError, ValidationError
+from .errors import ConfmetricError, NumericalFailureError, ValidationError
 from .evaluate import (
     auroc,
     feature_weight_stats,
@@ -125,8 +125,13 @@ def cmd_predict(args) -> int:
     # labels are not needed for scoring; parse features and optional ids only
     rows, ids = _read_feature_rows(args.data, schema.feature_columns, args.id_column)
     train = Dataset(model.train_X, model.train_y)
-    # degenerate rows are counted in the JSON line, not warned about in text
-    scores, degenerate = score_rows(model.matrix, train, rows)
+    # degenerate rows are counted in the JSON line, not warned about in text;
+    # a matrix whose projections overflow is one error, not a file of NaNs
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            scores, degenerate = score_rows(model.matrix, train, rows)
+    except FloatingPointError as exc:
+        raise NumericalFailureError(f"{exc} while scoring") from None
     labels = (scores > args.threshold).astype(int)
     write_csv(args.out, ["id", "confidence", "label"],
               zip(ids, map(float, scores), map(int, labels)))

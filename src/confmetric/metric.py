@@ -265,6 +265,7 @@ def score_rows(L, train: Dataset, X) -> tuple[np.ndarray, int]:
     if n0 < 1 or n1 < 1:
         raise DegenerateClassError(f"no training instances of class {int(n0 >= 1)}")
     L = _check_metric(L)
+    L = L[np.any(L != 0.0, axis=1)]  # an all-zero row adds 0 to every distance
     Z, sq_z = _project(L, train.X, "feature")
     W, sq_w = _project(L, X, "query")
     onehot = np.eye(2)[train.y]

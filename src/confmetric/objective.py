@@ -9,17 +9,30 @@ confident about, within each class.
 
 ``Objective`` evaluates the ranking variant on one dataset. What depends
 only on the data (the one-hot labels, the class reference counts, the
-ranking pairs and the weights) is built once, when it is constructed; the
-class structure is kept at n x 2, so none of it is n x n.
+confidence ranks and the weights) is built once, when it is constructed;
+the class structure is kept at n x 2, so none of it is n x n.
 ``Objective.value(L)`` builds the kernel once, as its upper tiles (see
 ``metric._upper_tiles``), and returns the loss together with an
-``ObjectiveCache`` holding those tiles and which hinge pairs are active;
-``Objective.gradient(L, cache)`` reuses both, so the loss and the gradient
-at one L share a single kernel and a single hinge evaluation, and no n x n
-array is ever formed. ``camel_cl_loss`` and ``smooth_gradient`` are one-shot
-wrappers over it. ``camel_loss`` computes the base loss on its own, through
-``similarity_scores``, and is the reference the ranking variant must equal
-exactly when lambda2 is 0.
+``ObjectiveCache`` holding those tiles and each instance's hinge gain: its
+active pairs as the less confident member minus those as the more confident
+one. ``Objective.gradient(L, cache)`` reuses both, so the loss and the
+gradient at one L share a single kernel and a single hinge evaluation, and
+no n x n array is ever formed. ``camel_cl_loss`` and ``smooth_gradient`` are
+one-shot wrappers over it. ``camel_loss`` computes the base loss on its own,
+through ``similarity_scores``, and is the reference the ranking variant must
+equal exactly when lambda2 is 0.
+
+The hinge never lists its pairs when fitting. Order a class once by
+(margin, confidence) and once by (confidence, margin): an instance's
+position in the first minus its position in the second counts the instances
+of lower margin and higher confidence minus those of higher margin and lower
+confidence, which is exactly its gain. Every active pair adds the less
+confident member's margin minus the more confident one's, so the hinge sum
+is the margins dotted with the gains. Two sorts give both in O(n log n)
+time and O(n) memory (the linear-time ranking SVM of Joachims, KDD 2006).
+``build_ranking_pairs`` lists the pairs explicitly; an ``Objective`` given
+such a list sums the hinge over it pair by pair, which the tests use as the
+reference.
 
 The L1 term is not differentiated here; the optimizer handles it through a
 proximal step. At exact hinge kinks the subgradient 0 is used.
@@ -88,6 +101,29 @@ def build_ranking_pairs(labels, confidences) -> RankingPairs:
     return RankingPairs(np.column_stack([a_idx, b_idx]).astype(np.int64, copy=False))
 
 
+def _confidence_ranks(y: np.ndarray, c) -> np.ndarray:
+    """Each instance's confidence rank, every class-1 rank above every
+    class-0 one; tied confidences share a rank, so they make no pair."""
+    if c is None:
+        raise MissingSupervisionError("ranking pairs require confidence labels")
+    return np.unique(c, return_inverse=True)[1] + len(y) * y
+
+
+def _counted_hinge(marg: np.ndarray, y: np.ndarray, rank: np.ndarray
+                   ) -> tuple[float, np.ndarray]:
+    """The hinge sum over every ranking pair, and each instance's gain, from
+    the ranks of ``_confidence_ranks`` without listing a pair.
+
+    The gain is the position by (class, margin, rank) minus the position by
+    (class, rank, margin); see the module docstring.
+    """
+    positions = np.arange(len(marg), dtype=np.float64)
+    gain = np.empty(len(marg))
+    gain[np.lexsort((rank, marg, y))] = positions
+    gain[np.lexsort((marg, rank))] -= positions
+    return float(marg @ gain), gain
+
+
 def margin(L, data: Dataset, i: int) -> float:
     """Own-class similarity score minus opposite-class score for instance i."""
     if not 0 <= i < data.n:
@@ -125,20 +161,27 @@ class ObjectiveCache:
     # (rows, cols, K[rows, cols]) for the training kernel's tiles at or
     # above the diagonal; the diagonal is 0
     tiles: list[tuple[slice, slice, np.ndarray]]
-    active: np.ndarray | None  # (pairs,) hinge is active; None with the term off
+    # (n,) per instance, its active hinge pairs as the less confident member
+    # minus those as the more confident one; None with the term off
+    gain: np.ndarray | None
 
 
 class Objective:
     """Class-label loss, L1 penalty and ranking hinge on one dataset.
 
     Built once per dataset and evaluated at many L. Both class reference
-    sets of every instance must be nonempty, and every ranking pair must
-    index a training row. Instance i's margin is sum_c W_ic (K B)_ic, with
-    B the one-hot labels and W = (2 B - 1) / counts (+1/own, -1/opp).
+    sets of every instance must be nonempty. Instance i's margin is
+    sum_c W_ic (K B)_ic, with B the one-hot labels and W = (2 B - 1) / counts
+    (+1/own, -1/opp).
+
+    With ``pairs`` None the hinge runs over every ranking pair of the data's
+    confidences without listing them: only each instance's confidence rank
+    is kept. Given ``RankingPairs``, it runs over those pairs only, each of
+    which must index a training row.
     """
 
     def __init__(
-        self, data: Dataset, pairs: RankingPairs, lambda1: float, lambda2: float
+        self, data: Dataset, pairs: RankingPairs | None, lambda1: float, lambda2: float
     ):
         self.data = data
         self.onehot, self.counts = _class_references(data)
@@ -146,14 +189,15 @@ class Objective:
         # the coef-independent columns of the gradient's one product with K
         B, X = self.onehot, data.X
         self.rhs = np.concatenate([B, B[:, :1] * X, B[:, 1:] * X], axis=1)
-        p = _check_pairs(pairs, data.n)
-        # each pair's more and less confident member, as contiguous columns
-        self.more, self.less = p[:, 0].copy(), p[:, 1].copy()
+        self.pairs = None if pairs is None else _check_pairs(pairs, data.n)
+        self.rank = None
+        if pairs is None and lambda2 > 0:
+            self.rank = _confidence_ranks(data.y, data.c)
         self.lambda1 = lambda1
         self.lambda2 = lambda2
 
     def value(self, L) -> tuple[LossBreakdown, ObjectiveCache]:
-        """Loss at L, and the kernel tiles and active hinge pairs behind it.
+        """Loss at L, and the kernel tiles and hinge gains behind it.
 
         For each pair (a, b) the hinge activates when b's margin exceeds
         a's, i.e. when the model orders the two against the labeler's
@@ -163,20 +207,30 @@ class Objective:
         marg = _margins(KB / self.counts, self.data.y)
         pushpull = float(-np.sum(marg))
         l1 = float(self.lambda1 * np.abs(L).sum())
-        ranking, active = 0.0, None
-        if self.lambda2 > 0 and len(self.more):
-            args = marg[self.less]
-            args -= marg[self.more]
-            active = args > 0.0
-            ranking = float(self.lambda2 * np.maximum(0.0, args, out=args).sum())
+        ranking, gain = 0.0, None
+        if self.lambda2 > 0:
+            hinge, gain = self._hinge(marg)
+            ranking = float(self.lambda2 * hinge)
         loss = LossBreakdown(pushpull=pushpull, l1=l1, ranking=ranking)
-        return loss, ObjectiveCache(tiles=tiles, active=active)
+        return loss, ObjectiveCache(tiles=tiles, gain=gain)
+
+    def _hinge(self, marg: np.ndarray) -> tuple[float, np.ndarray]:
+        """The hinge sum at these margins and each instance's gain."""
+        if self.rank is not None:
+            return _counted_hinge(marg, self.data.y, self.rank)
+        more, less = self.pairs.T
+        args = marg[less] - marg[more]
+        active = (args > 0.0).astype(np.float64)
+        n = self.data.n
+        gain = (np.bincount(less, weights=active, minlength=n)
+                - np.bincount(more, weights=active, minlength=n))
+        return np.maximum(0.0, args, out=args).sum(), gain
 
     def gradient(self, L, cache: ObjectiveCache) -> np.ndarray:
         """Gradient of the smooth loss terms (push/pull + ranking) in L.
 
         ``cache`` must be what ``value`` returned for this same L; its
-        kernel tiles (zero diagonal) and active hinge pairs are read, not
+        kernel tiles (zero diagonal) and hinge gains are read, not
         recomputed. The L1 term is excluded; the proximal step owns it.
         Derivation: each kernel value k = exp(-||L d||^2) contributes
         dk/dL = -2 k L d d^T, and the smooth loss is sum_ij K_ij (M B^T)_ij
@@ -195,11 +249,8 @@ class Objective:
         B = self.onehot
         # coefficient of each instance's margin in the smooth loss
         coef = np.full(n, -1.0)
-        if cache.active is not None:
-            weights = cache.active.astype(np.float64)
-            gain = (np.bincount(self.less, weights=weights, minlength=n)
-                    - np.bincount(self.more, weights=weights, minlength=n))
-            coef += self.lambda2 * gain
+        if cache.gain is not None:
+            coef += self.lambda2 * cache.gain
         M = coef[:, None] * self.W
         KP = _tile_product(cache.tiles, np.concatenate([self.rhs, M], axis=1))
         r = np.einsum("ic,ic->i", M, KP[:, :2]) + np.einsum("ic,ic->i", B, KP[:, -2:])

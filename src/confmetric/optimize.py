@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .evaluate import sparsity
-from .objective import LossBreakdown, Objective, RankingPairs, build_ranking_pairs
+from .objective import LossBreakdown, Objective
 
 _ETA0 = 1.0  # first trial step
 _SHRINK = 0.5  # step factor per rejected trial
@@ -141,9 +141,10 @@ def fit(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
 
     One ``Objective`` serves the whole fit. The starting loss and every
     line-search trial build the kernel's upper tiles exactly once; the
-    accepted trial's cache (tiles and active pairs) feeds the next gradient
+    accepted trial's cache (tiles and hinge gains) feeds the next gradient
     and is then dropped, so only one set of tiles is alive while later
-    trials run. The ranking pairs live only in the Objective.
+    trials run. The ranking pairs are never listed: the Objective keeps
+    each instance's confidence rank and counts the active pairs from it.
     Floating-point overflow, invalid operations and division by zero raise
     NumericalFailureError; the kernel underflows by design, so underflow does not.
 
@@ -168,9 +169,7 @@ def _descend(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     m_prime = cfg.proj_dim if cfg.proj_dim is not None else m
     L = init_metric(m, m_prime, data, cfg.seed)
 
-    pairs = build_ranking_pairs(data.y, data.c) if cfg.lambda2 > 0 else RankingPairs()
-    objective = Objective(data, pairs, cfg.lambda1, cfg.lambda2)
-    del pairs
+    objective = Objective(data, None, cfg.lambda1, cfg.lambda2)
 
     loss, cache = objective.value(L)
     if not np.isfinite(loss.total):

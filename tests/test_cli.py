@@ -281,6 +281,12 @@ def with_first_entry(key, value):
     return lambda m: [[value, *m[key][0][1:]], *m[key][1:]]
 
 
+def with_diagonal(key, value):
+    """An edit that sets every diagonal entry of the model file's 2-D array key."""
+    return lambda m: [[value if i == j else v for j, v in enumerate(row)]
+                      for i, row in enumerate(m[key])]
+
+
 def probe_model_without_rows(tmp_path, capsys):
     data, model = trained_model(tmp_path, capsys)
     raw = json.loads(model.read_text())
@@ -459,6 +465,11 @@ MALFORMED_INPUTS = {
     "predict-inf-matrix": (
         functools.partial(probe_model_edit, matrix=with_first_entry("matrix", math.inf)),
         "validation",
+    ),
+    # finite, but the projections of the query and training rows overflow
+    "predict-overflowing-matrix": (
+        functools.partial(probe_model_edit, matrix=with_diagonal("matrix", 1e200)),
+        "numerical-failure",
     ),
     "short-train-y": (
         functools.partial(probe_model_edit, train_y=lambda m: m["train_y"][1:]),

@@ -18,7 +18,7 @@ from confmetric import (
     similarity_scores,
     smooth_gradient,
 )
-from confmetric.objective import Objective
+from confmetric.objective import Objective, _confidence_ranks, _counted_hinge
 from test_metric import seed_order_kernel
 
 
@@ -93,6 +93,83 @@ class TestBuildRankingPairs:
             assert len(pairs) == len(got)  # no duplicates
             assert all(a != b for a, b in got)
 
+
+
+def pair_oracle(y, c, marg):
+    """The hinge sum and per-instance gains over the listed ranking pairs."""
+    more, less = build_ranking_pairs(y, c).pairs.T
+    args = marg[less] - marg[more]
+    active = (args > 0.0).astype(np.float64)
+    gain = (np.bincount(less, weights=active, minlength=len(y))
+            - np.bincount(more, weights=active, minlength=len(y)))
+    return np.maximum(0.0, args).sum(), gain
+
+
+# how the margins of one draw are made: in the fit's collapsed state every
+# margin is equal, and -0.0 must tie with 0.0 as it does in the oracle
+MARGIN_KINDS = {
+    "distinct": lambda rng, n: rng.normal(size=n),
+    "tied": lambda rng, n: rng.choice([-1.0, 0.25, 0.5, 2.0], size=n),
+    "all-equal": lambda rng, n: np.full(n, -0.25),
+    "signed-zeros": lambda rng, n: rng.choice([-0.0, 0.0, 1e-300, -1.0], size=n),
+}
+
+
+class TestCountedHinge:
+    """The pair-free hinge of ``fit`` against the listed pairs."""
+
+    @pytest.mark.parametrize("kind", MARGIN_KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300, 1000])
+    def test_matches_pair_oracle(self, n, kind):
+        rng = np.random.default_rng(n)
+        for draw in range(4):
+            y = rng.integers(0, 2, size=n)
+            if draw == 3 and n > 1:
+                y[:] = 0
+                y[rng.integers(n)] = 1  # a class of size 1
+            # draws 0 and 1 tie many confidences, 2 and 3 almost none
+            c = (rng.choice([0.0, 0.2, 0.5, 1.0], size=n) if draw < 2
+                 else rng.uniform(size=n))
+            marg = MARGIN_KINDS[kind](rng, n)
+            hinge, gain = _counted_hinge(marg, y, _confidence_ranks(y, c))
+            ref_hinge, ref_gain = pair_oracle(y, c, marg)
+            assert np.array_equal(gain, ref_gain)
+            assert abs(hinge - ref_hinge) <= 1e-12 * ref_hinge
+            assert math.copysign(1.0, hinge) == 1.0  # never -0.0, as with the oracle
+            if kind == "all-equal":
+                assert hinge == 0.0 and not gain.any()
+
+    def test_signed_zero_confidences_tie(self):
+        y = np.array([1, 1])
+        _, gain = _counted_hinge(np.array([0.0, 1.0]), y,
+                                 _confidence_ranks(y, np.array([0.0, -0.0])))
+        assert not gain.any()
+
+    @pytest.mark.parametrize("scale", [0.6, 20.0])
+    def test_fit_objective_equals_listed_pairs(self, scale):
+        """Both hinge forms leave the same gains, so the gradients are equal
+        bit for bit and the hinge sums agree to rounding."""
+        rng = np.random.default_rng(26)
+        for _ in range(5):
+            data = random_dataset(rng, n=int(rng.integers(6, 40)))
+            data.c[: data.n // 3] = 0.5  # some tied confidences
+            listed = Objective(data, build_ranking_pairs(data.y, data.c), 0.3, 1.5)
+            counted = Objective(data, None, 0.3, 1.5)
+            for _ in range(3):
+                L = rng.normal(size=(int(rng.integers(1, 4)), 3)) * scale
+                loss, cache = counted.value(L)
+                ref_loss, ref_cache = listed.value(L)
+                assert np.array_equal(cache.gain, ref_cache.gain)
+                assert abs(loss.ranking - ref_loss.ranking) <= 1e-12 * ref_loss.ranking
+                assert (loss.pushpull, loss.l1) == (ref_loss.pushpull, ref_loss.l1)
+                assert np.array_equal(counted.gradient(L, cache),
+                                      listed.gradient(L, ref_cache))
+
+    def test_fit_objective_needs_confidences(self):
+        data = random_dataset(np.random.default_rng(27), with_conf=False)
+        with pytest.raises(MissingSupervisionError):
+            Objective(data, None, 0.3, 1.0)
+        assert Objective(data, None, 0.3, 0.0).value(np.eye(3))[1].gain is None
 
 
 class TestMargin:
@@ -299,18 +376,20 @@ class TestSmoothGradient:
     lambda2=st.sampled_from([0.0, 0.5, 2.0]),
     log_scale=st.floats(-1.0, 0.5),
     seed=st.integers(0, 2**32 - 1),
+    listed=st.booleans(),
 )
 def test_gradient_matches_finite_differences_property(n, m, m_prime, lambda2, log_scale,
-                                                      seed):
+                                                      seed, listed):
     """Objective.gradient against central differences of pushpull + ranking,
-    with the hinge on and off. A draw with a hinge argument within 1e-7 of
-    its kink is skipped, as gate 1 skips it."""
+    with the hinge on and off, over listed pairs and counted as ``fit``
+    counts them. A draw with a hinge argument within 1e-7 of its kink is
+    skipped, as gate 1 skips it."""
     rng = np.random.default_rng(seed)
     data = random_dataset(rng, n=n, m=m)
     L = rng.normal(size=(m_prime, m)) * 10.0**log_scale
     pairs = build_ranking_pairs(data.y, data.c) if lambda2 > 0 else RankingPairs()
     assume(not hinge_near_kink(L, data, pairs))
-    objective = Objective(data, pairs, 0.3, lambda2)
+    objective = Objective(data, pairs if listed else None, 0.3, lambda2)
     g = objective.gradient(L, objective.value(L)[1])
     fd = finite_difference(L, data, TrainConfig(lambda1=0.3, lambda2=lambda2), pairs)
     assert np.abs(g - fd).max() <= 1e-5 * max(np.abs(fd).max(), 1e-12)

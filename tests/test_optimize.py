@@ -213,11 +213,28 @@ class TestFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one kernel's upper tiles, the ranking pairs and the hinge's per-pair
-        # arrays; an n x n weight matrix stored for the whole fit would exceed it
+        # one kernel's upper tiles and the gradient's work; an n x n weight
+        # matrix stored for the whole fit would exceed it
         assert peak <= 3.0 * 8 * n * n
         (objective,) = built
         assert all(np.size(v) < n * n for v in vars(objective).values())
+
+    def test_hinge_adds_no_quadratic_memory(self):
+        """The hinge counts its ~n^2/4 pairs without listing them: a fit
+        peaks within 0.1 n^2 float64 of the same fit without the hinge."""
+        import tracemalloc
+
+        n = 1000
+        data, _ = synth_generate(SynthConfig(n=n, m=20, m_informative=2, seed=0))
+        peaks = []
+        for lambda2 in (0.0, 1.0):
+            tracemalloc.start()
+            try:
+                fit(data, TrainConfig(lambda1=1.0, lambda2=lambda2, max_iters=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 0.1 * 8 * n * n
 
     def test_degenerate_class_rejected(self):
         data = Dataset(np.random.default_rng(0).normal(size=(5, 2)), [0, 0, 0, 0, 1])
