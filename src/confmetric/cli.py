@@ -148,14 +148,16 @@ def _read_feature_rows(path, feature_columns, id_column):
 
 
 def cmd_evaluate(args) -> int:
-    schema = _schema_from_flags(args.data, args)
-    data, _ = load_csv(args.data, schema)
+    # only the labels are scored; feature and confidence cells are not parsed
+    _, y, _, _ = read_columns(args.data, [], label=args.label)
+    if not len(y):
+        raise ValidationError(f"{args.data}: no data rows")
     scores = read_columns(args.pred, ["confidence"])[0][:, 0]
-    if len(scores) != data.n:
+    if len(scores) != len(y):
         raise ValidationError(
-            f"prediction rows ({len(scores)}) do not match data rows ({data.n})"
+            f"prediction rows ({len(scores)}) do not match data rows ({len(y)})"
         )
-    _emit({"auroc": auroc(scores, data.y), "n": data.n})
+    _emit({"auroc": auroc(scores, y), "n": len(y)})
     return 0
 
 

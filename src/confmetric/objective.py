@@ -17,10 +17,12 @@ the class structure is kept at n x 2, so none of it is n x n.
 active pairs as the less confident member minus those as the more confident
 one. ``Objective.gradient(L, cache)`` reuses both, so the loss and the
 gradient at one L share a single kernel and a single hinge evaluation, and
-no n x n array is ever formed. ``camel_cl_loss`` and ``smooth_gradient`` are
-one-shot wrappers over it. ``camel_loss`` computes the base loss on its own,
-through ``similarity_scores``, and is the reference the ranking variant must
-equal exactly when lambda2 is 0.
+no n x n array is ever formed. ``Objective.floor(L)`` bounds the total
+from below without building a kernel, which lets the line search reject a
+trial whose L1 term alone already loses. ``camel_cl_loss`` and
+``smooth_gradient`` are one-shot wrappers over it. ``camel_loss`` computes
+the base loss on its own, through ``similarity_scores``, and is the
+reference the ranking variant must equal exactly when lambda2 is 0.
 
 The hinge never lists its pairs when fitting. Order a class once by
 (margin, confidence) and once by (confidence, margin): an instance's
@@ -61,6 +63,10 @@ from .metric import (
 
 if TYPE_CHECKING:  # optimize imports this module
     from .optimize import TrainConfig
+
+# Objective.floor widens the push/pull term's bound -n by this share of n
+_FLOOR_SLACK = 1e-6
+
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -206,13 +212,29 @@ class Objective:
         tiles, KB = _upper_tiles(L, self.data.X, self.onehot)
         marg = _margins(KB / self.counts, self.data.y)
         pushpull = float(-np.sum(marg))
-        l1 = float(self.lambda1 * np.abs(L).sum())
+        l1 = self._l1(L)
         ranking, gain = 0.0, None
         if self.lambda2 > 0:
             hinge, gain = self._hinge(marg)
             ranking = float(self.lambda2 * hinge)
         loss = LossBreakdown(pushpull=pushpull, l1=l1, ranking=ranking)
         return loss, ObjectiveCache(tiles=tiles, gain=gain)
+
+    def floor(self, L) -> float:
+        """A lower bound of ``value(L)[0].total`` that builds no kernel.
+
+        Every kernel value is exp(-d^2) in [0, 1] and the diagonal is 0, so
+        each margin (own-class mean minus opposite-class mean) is at most 1
+        and the push/pull term at least -n; the hinge is at least 0. So the
+        total is at least lambda1 ||L||_1 - n. The L1 term is the one
+        ``value`` computes, and n is widened by 1e-6 of itself to absorb
+        the rounding of the computed margins and hinge; float addition is
+        monotone, so the bound then holds for the computed total too.
+        """
+        return self._l1(L) - self.data.n * (1.0 + _FLOOR_SLACK)
+
+    def _l1(self, L) -> float:
+        return float(self.lambda1 * np.abs(L).sum())
 
     def _hinge(self, marg: np.ndarray) -> tuple[float, np.ndarray]:
         """The hinge sum at these margins and each instance's gain."""

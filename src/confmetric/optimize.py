@@ -7,6 +7,12 @@ backtracking line search that starts at step 1, halves the step for each
 rejected trial, grows it by 1.1 after each accepted iteration, and stops the
 fit once the step falls below 1e-20. A trial is accepted when its total loss
 does not exceed the current one, so the accepted total loss never increases.
+A trial is rejected without building its kernel when ``Objective.floor``
+already exceeds the current total: every kernel value lies in [0, 1] with a
+zero diagonal, so each margin is at most 1, the push/pull term at least -n
+and the hinge at least 0, and no trial scores below lambda1 ||L||_1 - n.
+Such a trial counts as rejected: the step halves as for any other, so the
+steps, the accepted L and the trace are those of evaluating every trial.
 The objective is non-convex in L; results depend on the initialization seed
 and no global-optimality claim is made.
 """
@@ -71,6 +77,8 @@ class TraceRecord:
     ranking: float
     step_size: float
     sparsity: float
+    # kernels built by this iteration's line search; 1 on row 0, the start
+    loss_evals: int
 
 
 @dataclass
@@ -84,7 +92,8 @@ class TrainTrace:
         """max_iters when the loop ran out of iterations, else converged."""
         return "max_iters" if self.stop_reason == "max_iters" else "converged"
 
-    def append(self, loss: LossBreakdown, step_size: float, L: np.ndarray):
+    def append(self, loss: LossBreakdown, step_size: float, L: np.ndarray,
+               loss_evals: int):
         self.records.append(
             TraceRecord(
                 total=loss.total,
@@ -93,6 +102,7 @@ class TrainTrace:
                 ranking=loss.ranking,
                 step_size=step_size,
                 sparsity=sparsity(L),
+                loss_evals=loss_evals,
             )
         )
 
@@ -137,7 +147,14 @@ def fit(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     steps eta from the previous accepted step times 1.1 (1 at the first
     iteration), halving eta after every trial whose total loss exceeds the
     current one; once eta falls below 1e-20 without descent the fit stops
-    with ``stop_reason`` "step_underflow".
+    with ``stop_reason`` "step_underflow". A trial whose floor, lambda1
+    ||L||_1 - n (``Objective.floor``), already exceeds the current total is
+    rejected without building its kernel: no kernel value leaves [0, 1], so
+    no margin exceeds 1 and no total falls below the floor. Skipping it
+    changes no step, no L and no trace value, only how many kernels are
+    built; each trace row's ``loss_evals`` counts them. The line search that
+    ends a fit by "step_underflow" appends no row, so its kernels are in no
+    row's count.
 
     One ``Objective`` serves the whole fit. The starting loss and every
     line-search trial build the kernel's upper tiles exactly once; the
@@ -177,14 +194,19 @@ def _descend(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
 
     eta = _ETA0
     trace = TrainTrace()
-    trace.append(loss, eta, L)
+    trace.append(loss, eta, L, loss_evals=1)
 
     for k in range(cfg.max_iters):
         g = objective.gradient(L, cache)
         cache = None  # free these tiles before the trials build theirs
+        evals = 0
         while eta >= _MIN_STEP:
             L_new = soft_threshold(L - eta * g, eta * cfg.lambda1)
+            if objective.floor(L_new) > loss.total:
+                eta *= _SHRINK  # a certain loser: reject it without a kernel
+                continue
             loss_new, cache = objective.value(L_new)
+            evals += 1
             if not np.isfinite(loss_new.total):
                 raise NumericalFailureError(f"non-finite loss at iteration {k + 1}")
             if loss_new.total <= loss.total:
@@ -198,7 +220,7 @@ def _descend(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
 
         rel_change = abs(loss_new.total - loss.total) / max(abs(loss.total), 1e-12)
         L, loss = L_new, loss_new
-        trace.append(loss, eta, L)
+        trace.append(loss, eta, L, evals)
         eta *= _GROWTH
         if rel_change < cfg.rel_tol:
             trace.stop_reason = "rel_tol"

@@ -88,6 +88,9 @@ class TestTrainPredictEvaluate:
         assert len(trows) == info["iterations"] + 1
         totals = [float(r["total"]) for r in trows]
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
+        assert list(trows[0])[-1] == "loss_evals"
+        evals = [int(r["loss_evals"]) for r in trows]
+        assert evals[0] == 1 and all(e >= 1 for e in evals)
 
         preds = tmp_path / "preds.csv"
         code, out, _ = run(
@@ -192,6 +195,28 @@ class TestTrainPredictEvaluate:
         )
         assert code == 0
         assert json.loads(out)["auroc"] > 0.8
+
+    def test_evaluate_reads_only_the_label_column(self, tmp_path, capsys):
+        data = make_data(tmp_path, capsys)
+        preds = tmp_path / "p.csv"
+        preds.write_text("id,confidence,label\n"
+                         + "".join(f"{i},{i / 60},0\n" for i in range(60)))
+        header, first, *rest = data.read_text().splitlines()
+        data.write_text("\n".join([header, "junk" + first[first.index(","):], *rest])
+                        + "\n")
+        code, out, err = run(capsys, "evaluate", "--pred", str(preds), "--data", str(data),
+                             "--confidence", "confidence")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n"] == 60
+        labels = header.split(",").index("label")
+        cells = rest[0].split(",")
+        cells[labels] = "2"
+        data.write_text("\n".join([header, first, ",".join(cells), *rest[1:]]) + "\n")
+        code, out, err = run(capsys, "evaluate", "--pred", str(preds), "--data", str(data),
+                             "--confidence", "confidence")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["message"] == (
+            "row 3, column 'label': label must be 0 or 1, got '2'")
 
     def test_predict_counts_degenerate_rows(self, tmp_path, capsys):
         # a row far from every reference row underflows both class sums

@@ -395,6 +395,49 @@ def test_gradient_matches_finite_differences_property(n, m, m_prime, lambda2, lo
     assert np.abs(g - fd).max() <= 1e-5 * max(np.abs(fd).max(), 1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(4, 40),
+    m=st.integers(1, 4),
+    m_prime=st.integers(1, 4),
+    lambda1=st.floats(0.0, 10.0),
+    lambda2=st.floats(0.0, 10.0),
+    log_spread=st.floats(-6.0, 0.0),
+    log_scale=st.floats(-3.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+    listed=st.booleans(),
+)
+def test_floor_never_exceeds_the_total(n, m, m_prime, lambda1, lambda2, log_spread,
+                                       log_scale, seed, listed):
+    """Objective.floor bounds the computed total from below, with the hinge
+    counted and over listed pairs. Classes draw from tight clusters one unit
+    apart, so the margins reach towards 1 and the bound towards the total;
+    L runs from a near-uniform kernel to a fully collapsed one."""
+    rng = np.random.default_rng(seed)
+    data = random_dataset(rng, n=n, m=m)
+    X = data.y[:, None] + 10.0**log_spread * data.X
+    data = Dataset(X, data.y, data.c)
+    L = rng.normal(size=(m_prime, m)) * 10.0**log_scale
+    pairs = build_ranking_pairs(data.y, data.c) if listed else None
+    objective = Objective(data, pairs, lambda1, lambda2)
+    assert objective.value(L)[0].total >= objective.floor(L)
+
+
+def test_floor_is_nearly_reached_by_tight_far_classes():
+    """Two classes, each of near-duplicate rows, far apart: every margin is
+    ~1 and the total sits just above lambda1 ||L||_1 - n."""
+    rng = np.random.default_rng(3)
+    y = np.repeat([0, 1], 10)
+    X = 100.0 * y[:, None] + 1e-6 * rng.normal(size=(20, 2))
+    data = Dataset(X, y, rng.uniform(size=20))
+    L = np.eye(2)
+    objective = Objective(data, None, 0.5, 1.0)
+    loss = objective.value(L)[0]
+    floor = objective.floor(L)
+    assert floor <= loss.total <= floor + 1e-4
+    assert floor == 0.5 * 2 - 20 * (1 + 1e-6)
+
+
 def dense_gradient(L, data, lambda2, pairs):
     """-2 L X^T P X with P formed explicitly, entry by entry."""
     n, y, X = data.n, data.y, data.X

@@ -192,6 +192,45 @@ class TestFit:
             assert len(values) >= iterations + 1
             assert len(kernels) == len(values)
 
+    def test_loss_evals_count_every_kernel(self, monkeypatch):
+        import confmetric.objective as objective
+
+        kernels = []
+        upper_tiles = objective._upper_tiles
+
+        def counting_upper_tiles(*args, **kwargs):
+            kernels.append(1)
+            return upper_tiles(*args, **kwargs)
+
+        monkeypatch.setattr(objective, "_upper_tiles", counting_upper_tiles)
+        data = small_dataset(seed=14)
+        _, trace = fit(data, TrainConfig(lambda1=4.0, lambda2=1.0, max_iters=12,
+                                         rel_tol=1e-15))
+        evals = [r.loss_evals for r in trace.records]
+        assert evals[0] == 1
+        # the first iteration tries the 9 steps 1 .. 2^-8, and skips some of them
+        assert trace.records[1].step_size == 2.0**-8
+        assert 1 <= evals[1] < 9
+        assert sum(evals) == len(kernels)
+
+    def test_floor_skips_kernels_and_changes_nothing_else(self, monkeypatch):
+        """Trials rejected on the floor alone build no kernel; evaluating
+        them instead gives the same L, totals and steps bit for bit."""
+        import confmetric.objective as objective
+
+        data, _ = synth_generate(SynthConfig(n=600, m=20, m_informative=2,
+                                             cluster_separation=4.0,
+                                             confidence_noise=0.05, seed=1))
+        cfg = TrainConfig(lambda1=4.0, lambda2=1.0, max_iters=10)
+        L, trace = fit(data, cfg)
+        monkeypatch.setattr(objective.Objective, "floor", lambda self, L: -np.inf)
+        L_all, trace_all = fit(data, cfg)
+        assert np.array_equal(L, L_all)
+        assert ([(r.total, r.step_size) for r in trace.records]
+                == [(r.total, r.step_size) for r in trace_all.records])
+        assert sum(r.loss_evals for r in trace.records) == 11
+        assert sum(r.loss_evals for r in trace_all.records) == 19
+
     def test_peak_memory_at_most_three_kernels(self, monkeypatch):
         import tracemalloc
 
