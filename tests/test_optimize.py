@@ -180,10 +180,10 @@ class TestFit:
         monkeypatch.setattr(objective, "_upper_tiles", counting_upper_tiles)
         monkeypatch.setattr(objective.Objective, "value", counting_value)
         data = small_dataset(seed=14)
-        for lambda2 in (0.0, 1.0):
+        for lambda1, lambda2 in ((0.1, 0.0), (0.1, 1.0), (4.0, 1.0)):
             kernels.clear()
             values.clear()
-            cfg = TrainConfig(lambda1=0.1, lambda2=lambda2, max_iters=12,
+            cfg = TrainConfig(lambda1=lambda1, lambda2=lambda2, max_iters=12,
                               rel_tol=1e-15)
             _, trace = fit(data, cfg)
             iterations = len(trace.records) - 1
@@ -191,27 +191,12 @@ class TestFit:
             # the start plus at least one line-search trial per iteration
             assert len(values) >= iterations + 1
             assert len(kernels) == len(values)
-
-    def test_loss_evals_count_every_kernel(self, monkeypatch):
-        import confmetric.objective as objective
-
-        kernels = []
-        upper_tiles = objective._upper_tiles
-
-        def counting_upper_tiles(*args, **kwargs):
-            kernels.append(1)
-            return upper_tiles(*args, **kwargs)
-
-        monkeypatch.setattr(objective, "_upper_tiles", counting_upper_tiles)
-        data = small_dataset(seed=14)
-        _, trace = fit(data, TrainConfig(lambda1=4.0, lambda2=1.0, max_iters=12,
-                                         rel_tol=1e-15))
-        evals = [r.loss_evals for r in trace.records]
-        assert evals[0] == 1
-        # the first iteration tries the 9 steps 1 .. 2^-8, and skips some of them
+            assert sum(r.loss_evals for r in trace.records) == len(kernels)
+            assert trace.records[0].loss_evals == 1
+        # at lambda1 = 4 the first iteration tries the 9 steps 1 .. 2^-8 and
+        # builds no kernel for some of them
         assert trace.records[1].step_size == 2.0**-8
-        assert 1 <= evals[1] < 9
-        assert sum(evals) == len(kernels)
+        assert 1 <= trace.records[1].loss_evals < 9
 
     def test_floor_skips_kernels_and_changes_nothing_else(self, monkeypatch):
         """Trials rejected on the floor alone build no kernel; evaluating
