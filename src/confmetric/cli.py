@@ -17,6 +17,7 @@ import numpy as np
 from .data_io import (
     DatasetSchema,
     SynthConfig,
+    _require_columns,
     config_from_dict,
     load_csv,
     read_columns,
@@ -52,11 +53,17 @@ def _emit(obj):
     print(json.dumps(obj))
 
 
+def _flag_columns(header, args) -> list[str]:
+    """The --features columns; each column a flag but --label names must be in header."""
+    features = [c.strip() for c in args.features.split(",")] if args.features else []
+    _require_columns(header, [c for c in (*features, args.confidence, args.id_column) if c])
+    return features
+
+
 def _schema_from_flags(path, args) -> DatasetSchema:
     header = read_header(path)
-    if args.features:
-        features = [c.strip() for c in args.features.split(",")]
-    else:
+    features = _flag_columns(header, args)
+    if not features:
         reserved = {args.label, args.confidence, args.id_column}
         features = [c for c in header if c not in reserved]
     return DatasetSchema(
@@ -148,7 +155,8 @@ def _read_feature_rows(path, feature_columns, id_column):
 
 
 def cmd_evaluate(args) -> int:
-    # only the labels are scored; feature and confidence cells are not parsed
+    # only the labels are scored; the other flags' cells are not parsed
+    _flag_columns(read_header(args.data), args)
     _, y, _, _ = read_columns(args.data, [], label=args.label)
     if not len(y):
         raise ValidationError(f"{args.data}: no data rows")

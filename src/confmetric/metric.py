@@ -11,23 +11,23 @@ how many rows were degenerate, which ``confmetric predict`` reports.
 ``positive_scores`` returns only the scores and warns once about those rows.
 
 There are two kernel builders, one per job, and neither forms a full kernel.
-``score_rows`` computes the query-by-reference Gram product in row blocks of
+Both take -d2 from one product of the two ``_sides`` arrays, then clip it
+at 0 and take ``exp`` in place (``_kernel_values``), with no d2 array.
+``score_rows`` projects the queries and takes that product in row blocks of
 about ``_BLOCK_BYTES`` each, turns each block into kernel values while it is
 in cache and keeps only the block's two class sums.
 
 The training kernel, which fitting rebuilds at every loss evaluation, is
 symmetric, so ``_upper_tiles`` builds only its square tiles at or above the
 diagonal (``isqrt(_BLOCK_BYTES / 8)`` = 256 rows a side), packed into one
-buffer. Each tile gets its own Gram product, the same elementwise rule and a
+buffer. Each tile gets its own product, the same elementwise rule and a
 zeroed diagonal, and gives its share of the class sums (``K_ij B_j`` and
 ``K_ij^T B_i``) while it is in cache; ``similarity_scores`` and the
-objective read those sums, and the gradient takes its product with K from
-the same tiles, so fitting never forms an n x n array. A diagonal tile's
-Gram product takes numpy's SYRK path, as the plain ``Z @ Z.T`` does, so at
-n <= 256 the one tile equals the plain expression ``exp(-max(d2, 0))`` bit
-for bit; larger kernels can differ from it in the last digit.
-``class_similarity`` takes its mean from row differences instead, apart from
-both builders.
+objective read those sums, and the gradient takes its products with K from
+the same tiles, class by class (``_class_products``), so fitting never forms
+an n x n array. A diagonal tile is symmetric only to the last bit, as
+entries (i, j) and (j, i) add the two norms in opposite order.
+``class_similarity`` works from row differences, apart from both builders.
 
 Underflow rule: ``exp(-d2)`` is 0.0 exactly for every ``d2 >= 746``, and
 fitting drives nearly every off-diagonal distance far past that. numpy's
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 
 import numpy as np
 
@@ -102,46 +103,39 @@ def _project(L, X, what: str):
     return Z, np.einsum("ij,ij->i", Z, Z)
 
 
+def _sides(Z, sq) -> tuple[np.ndarray, np.ndarray]:
+    """[Z, sq, 1] and [2Z, -1, -sq] for rows Z of squared norms sq; one
+    product of the two gives 2 w.z - |w|^2 - |z|^2 = -||w - z||^2."""
+    one = np.ones_like(sq)
+    return np.column_stack([Z, sq, one]), np.column_stack([2.0 * Z, -one, -sq])
+
+
 def _block_height(cols: int) -> int:
     """Rows per block: about _BLOCK_BYTES of float64 at cols columns."""
     return max(1, _BLOCK_BYTES // (8 * max(cols, 1)))
 
 
-def _exp_neg(d2: np.ndarray, out: np.ndarray) -> None:
-    """out = np.exp(-d2) bit for bit, for C-contiguous d2 >= 0 (or NaN),
-    without passing np.exp any d2 >= _EXP_ZERO, where it returns 0.0.
+def _kernel_values(G: np.ndarray) -> None:
+    """Turn C-contiguous G = -d2 into np.exp(np.minimum(G, 0)) in place, bit
+    for bit, without passing np.exp any G <= -_EXP_ZERO, where it returns 0.0.
 
     Whichever of the near and the far entries are fewer are indexed: a
     gather or scatter through an index beats a boolean mask on either side.
     """
-    far = d2 >= _EXP_ZERO  # False for NaN, so NaN goes through np.exp
-    flat_d2, flat_out = d2.ravel(), out.ravel()
+    far = G <= -_EXP_ZERO  # False for NaN, so NaN goes through np.exp
+    flat = G.ravel()
     if 2 * np.count_nonzero(far) > far.size:
         near = np.flatnonzero(np.logical_not(far, out=far))
-        vals = flat_d2[near]
-        np.negative(vals, out=vals)
+        vals = np.minimum(flat[near], 0.0)
         np.exp(vals, out=vals)
-        out.fill(0.0)
-        flat_out[near] = vals
+        G.fill(0.0)
+        flat[near] = vals
         return
     far = np.flatnonzero(far)
-    np.negative(d2, out=out)
-    flat_out[far] = 0.0  # exp(0.0) = 1 is on np.exp's fast path
-    np.exp(out, out=out)
-    flat_out[far] = 0.0
-
-
-def _kernel_rows(G, sq_w, sq_z, d2) -> None:
-    """Turn G = W Z^T into exp(-max((sq_w + sq_z) - 2 G, 0)) in place.
-
-    d2 is scratch of G's shape. Doubling is exact, so the rounding is that
-    of the plain expression.
-    """
-    np.add(sq_w[:, None], sq_z[None, :], out=d2)
-    G *= 2.0
-    np.subtract(d2, G, out=d2)
-    np.maximum(d2, 0.0, out=d2)
-    _exp_neg(d2, G)
+    np.minimum(G, 0.0, out=G)
+    flat[far] = 0.0  # exp(0.0) = 1 is on np.exp's fast path
+    np.exp(G, out=G)
+    flat[far] = 0.0
 
 
 def _upper_tiles(L, X, B) -> tuple[list[tuple[slice, slice, np.ndarray]], np.ndarray]:
@@ -150,16 +144,15 @@ def _upper_tiles(L, X, B) -> tuple[list[tuple[slice, slice, np.ndarray]], np.nda
 
     Returns (rows, cols, K[rows, cols]) for every tile at or above the
     diagonal, in row-major order, carved from one packed buffer. Each tile
-    is built and used while it is in cache: its own Gram product (SYRK on
-    the diagonal), ``_kernel_rows``, and its share of K @ B. The tiles hold
+    is built and used while it is in cache: one product of the two
+    ``_sides``, ``_kernel_values``, and its share of K @ B. The tiles hold
     (n^2 + n * side) / 2 floats at most.
     """
-    Z, sq = _project(_check_metric(L), X, "feature")
-    n, side = Z.shape[0], math.isqrt(_BLOCK_BYTES // 8)
+    left, right = _sides(*_project(_check_metric(L), X, "feature"))
+    n, side = left.shape[0], math.isqrt(_BLOCK_BYTES // 8)
     edge = n % side  # the last tile row's height, when it is partial
     # the tiles over i <= j hold (n^2 + sum of squared tile heights) / 2 floats
     buf = np.empty((n * n + (n - edge) * side + edge * edge) // 2)
-    d2 = np.empty(min(side, n) ** 2)
     tiles, KB, used = [], np.zeros((n, B.shape[1])), 0
     for i in range(0, n, side):
         rows = slice(i, i + side)
@@ -169,8 +162,8 @@ def _upper_tiles(L, X, B) -> tuple[list[tuple[slice, slice, np.ndarray]], np.nda
             size = h * min(side, n - j)
             T = buf[used : used + size].reshape(h, -1)
             used += size
-            np.matmul(Z[rows], Z[cols].T, out=T)
-            _kernel_rows(T, sq[rows], sq[cols], d2[:size].reshape(T.shape))
+            np.matmul(left[rows], right[cols].T, out=T)
+            _kernel_values(T)
             if i == j:
                 np.fill_diagonal(T, 0.0)
             tiles.append((rows, cols, T))
@@ -186,11 +179,23 @@ def _tile_into(out, rows, cols, T, P) -> None:
         out[cols] += T.T @ P[rows]
 
 
-def _tile_product(tiles, P) -> np.ndarray:
-    """K @ P for the symmetric kernel K whose upper tiles are ``tiles``."""
-    out = np.zeros(P.shape)
+def _class_products(tiles, B, Pt) -> np.ndarray:
+    """(K (B_c P))^T for c = 0, 1, stacked, from P^T: K has the upper tiles
+    ``tiles`` and B holds one-hot labels. Each tile's columns, and its
+    mirror's rows, meet B_c P only from their first to their last class-c
+    row, so on rows sorted by label no product multiplies a row that B_c
+    zeroes. P^T times a tile is faster than a tile times P.
+    """
+    out = np.zeros((2, *Pt.shape))
+    classes = [(np.flatnonzero(B[:, c]).tolist(), Pt * B[:, c]) for c in (0, 1)]
     for rows, cols, T in tiles:
-        _tile_into(out, rows, cols, T, P)
+        shares = ((rows, cols, T.T), (cols, rows, T))  # (to, from, from x to tile)
+        for dst, src, A in shares[: 1 + (rows.start != cols.start)]:
+            for c, (members, Pc) in enumerate(classes):
+                lo, hi = bisect_left(members, src.start), bisect_left(members, src.stop)
+                if lo < hi:
+                    a, b = members[lo], members[hi - 1] + 1
+                    out[c, :, dst] += Pc[:, a:b] @ A[a - src.start : b - src.start]
     return out
 
 
@@ -266,18 +271,18 @@ def score_rows(L, train: Dataset, X) -> tuple[np.ndarray, int]:
         raise DegenerateClassError(f"no training instances of class {int(n0 >= 1)}")
     L = _check_metric(L)
     L = L[np.any(L != 0.0, axis=1)]  # an all-zero row adds 0 to every distance
-    Z, sq_z = _project(L, train.X, "feature")
-    W, sq_w = _project(L, X, "query")
+    right = _sides(*_project(L, train.X, "feature"))[1]
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     onehot = np.eye(2)[train.y]
-    q, n = W.shape[0], Z.shape[0]
+    q, n = X.shape[0], right.shape[0]
     h = _block_height(n)
     G = np.empty((min(h, q), n))
-    d2 = np.empty_like(G)
     S = np.empty((q, 2))
     for i in range(0, q, h):
         rows, b = slice(i, i + h), min(h, q - i)
-        np.matmul(W[rows], Z.T, out=G[:b])
-        _kernel_rows(G[:b], sq_w[rows], sq_z, d2[:b])
+        # the queries are projected block by block, never all at once
+        np.matmul(_sides(*_project(L, X[rows], "query"))[0], right.T, out=G[:b])
+        _kernel_values(G[:b])
         np.matmul(G[:b], onehot, out=S[rows])
     S /= np.array([n0, n1], dtype=np.float64)
     total = S[:, 0] + S[:, 1]

@@ -56,7 +56,7 @@ from .errors import (
 from .metric import (
     _check_metric,
     _class_references,
-    _tile_product,
+    _class_products,
     _upper_tiles,
     similarity_scores,
 )
@@ -192,9 +192,6 @@ class Objective:
         self.data = data
         self.onehot, self.counts = _class_references(data)
         self.W = (2.0 * self.onehot - 1.0) / self.counts
-        # the coef-independent columns of the gradient's one product with K
-        B, X = self.onehot, data.X
-        self.rhs = np.concatenate([B, B[:, :1] * X, B[:, 1:] * X], axis=1)
         self.pairs = None if pairs is None else _check_pairs(pairs, data.n)
         self.rank = None
         if pairs is None and lambda2 > 0:
@@ -260,8 +257,10 @@ class Objective:
         -2 L (X^T diag(r) X - X^T A X - X^T A^T X) for A = K * (M B^T),
         never formed: r = rowsum(M * (K B)) + rowsum(B * (K M)) and
         X^T A X = sum_c (M_c * X)^T K (B_c * X). All four products with K
-        come from one product, K [B | B_0 * X | B_1 * X | M] with an
-        n x (4 + 2m) matrix, taken tile by tile, so each tile is read once.
+        come from K (B_c [1 | X | M]) for c = 0, 1, taken tile by tile over
+        each tile's span of class-c rows, so on rows sorted by label, as
+        ``fit`` gives them, no row that B_c zeroes is multiplied; any other
+        order gives the same gradient up to rounding.
         With a unit diagonal the self terms would cancel only in exact
         arithmetic, which fails at a near-identity kernel.
         """
@@ -274,11 +273,11 @@ class Objective:
         if cache.gain is not None:
             coef += self.lambda2 * cache.gain
         M = coef[:, None] * self.W
-        KP = _tile_product(cache.tiles, np.concatenate([self.rhs, M], axis=1))
-        r = np.einsum("ic,ic->i", M, KP[:, :2]) + np.einsum("ic,ic->i", B, KP[:, -2:])
-        KBX = (KP[:, 2 : 2 + m], KP[:, 2 + m : 2 + 2 * m])
-        XAX = sum((M[:, c, None] * X).T @ KBX[c] for c in (0, 1))
-        return -2.0 * L @ (X.T @ (r[:, None] * X) - XAX - XAX.T)
+        # (K (B_c [1 | X | M]))^T for each class c
+        KP = _class_products(cache.tiles, B, np.vstack([np.ones(n), X.T, M.T]))
+        r = np.einsum("ic,ci->i", M, KP[:, 0]) + np.einsum("ik,cki->i", B, KP[:, -2:])
+        XAtX = sum(KP[c, 1 : 1 + m] @ (M[:, c, None] * X) for c in (0, 1))
+        return -2.0 * L @ (X.T @ (r[:, None] * X) - XAtX.T - XAtX)
 
 
 def camel_cl_loss(

@@ -156,12 +156,14 @@ def fit(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     ends a fit by "step_underflow" appends no row, so its kernels are in no
     row's count.
 
-    One ``Objective`` serves the whole fit. The starting loss and every
-    line-search trial build the kernel's upper tiles exactly once; the
-    accepted trial's cache (tiles and hinge gains) feeds the next gradient
-    and is then dropped, so only one set of tiles is alive while later
-    trials run. The ranking pairs are never listed: the Objective keeps
-    each instance's confidence rank and counts the active pairs from it.
+    One ``Objective`` serves the whole fit, on the rows sorted by label
+    after ``init_metric``, so no gradient product meets the other class's
+    rows. The starting loss and every line-search trial build the kernel's
+    upper tiles exactly once; the accepted trial's cache (tiles and hinge
+    gains) feeds the next gradient and is then dropped, so only one set of
+    tiles is alive while later trials run. The ranking pairs are never
+    listed: the Objective keeps each instance's confidence rank and counts
+    the active pairs from it.
     Floating-point overflow, invalid operations and division by zero raise
     NumericalFailureError; the kernel underflows by design, so underflow does not.
 
@@ -186,7 +188,8 @@ def _descend(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     m_prime = cfg.proj_dim if cfg.proj_dim is not None else m
     L = init_metric(m, m_prime, data, cfg.seed)
 
-    objective = Objective(data, None, cfg.lambda1, cfg.lambda2)
+    by_label = data.subset(np.argsort(data.y, kind="stable"))
+    objective = Objective(by_label, None, cfg.lambda1, cfg.lambda2)
 
     loss, cache = objective.value(L)
     if not np.isfinite(loss.total):

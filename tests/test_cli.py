@@ -345,6 +345,19 @@ def probe_short_predictions(tmp_path, capsys):
             "--confidence", "confidence"]
 
 
+def probe_unknown_column(command, flag, tmp_path, capsys):
+    """A schema flag naming a column the data lacks, on a command that parses
+    none of that flag's cells."""
+    if command == "predict":
+        data, model = trained_model(tmp_path, capsys)
+        return ["predict", "--model", str(model), "--data", str(data),
+                flag, "nosuchcolumn", "--out", str(tmp_path / "out.csv")]
+    data = make_data(tmp_path, capsys)
+    preds = tmp_path / "p.csv"
+    preds.write_text("id,confidence,label\n" + "".join(f"{i},0.5,0\n" for i in range(60)))
+    return ["evaluate", "--pred", str(preds), "--data", str(data), flag, "nosuchcolumn"]
+
+
 def probe_bad_confidence(tmp_path, capsys):
     data = make_data(tmp_path, capsys)
     preds = tmp_path / "p.csv"
@@ -556,6 +569,10 @@ MALFORMED_INPUTS = {
         functools.partial(probe_synth_flag, "--n", "1000000000000000"), "out-of-memory",
     ),
     "evaluate-row-count-mismatch": (probe_short_predictions, "validation"),
+    **{f"{command}-unknown{flag}": (functools.partial(probe_unknown_column, command, flag),
+                                    "validation")
+       for command, flag in (("evaluate", "--confidence"), ("evaluate", "--features"),
+                             ("evaluate", "--id-column"), ("predict", "--confidence"))},
     "predict-header-only": (probe_header_only, "validation"),
     "model-without-training-rows": (probe_model_without_rows, "validation"),
     **{f"{command}-deep-nesting": (functools.partial(probe_json_file, command, DEEP_JSON),

@@ -111,14 +111,20 @@ class TestClassSimilarity:
         assert s == pytest.approx(math.exp(-4.0))
 
 
+def neg_d2(W, Z):
+    """Minus the squared distances between rows of W and rows of Z, as one
+    product of [W, |w|^2, 1] with [2Z, -1, -|z|^2]."""
+    sq_w = np.einsum("ij,ij->i", W, W)[:, None]
+    sq_z = np.einsum("ij,ij->i", Z, Z)[:, None]
+    left = np.hstack([W, sq_w, np.ones_like(sq_w)])
+    return left @ np.hstack([2.0 * Z, -np.ones_like(sq_z), -sq_z]).T
+
+
 def seed_order_kernel(L, X, Q=None):
-    """Kernel matrix evaluated as the plain expression exp(-max(d2, 0))."""
+    """Kernel matrix evaluated as the one-product expression exp(min(-d2, 0))."""
     Z = X @ L.T
     W = Z if Q is None else Q @ L.T
-    sq_w = np.einsum("ij,ij->i", W, W)
-    sq_z = np.einsum("ij,ij->i", Z, Z)
-    d2 = sq_w[:, None] + sq_z[None, :] - 2.0 * (W @ Z.T)
-    K = np.exp(-np.maximum(d2, 0.0))
+    K = np.exp(np.minimum(neg_d2(W, Z), 0.0))
     if Q is None:
         np.fill_diagonal(K, 1.0)
     return K
@@ -127,8 +133,7 @@ def seed_order_kernel(L, X, Q=None):
 def plain_d2(L, X):
     """Clipped squared distances between rows of X, as seed_order_kernel forms them."""
     Z = X @ L.T
-    sq = np.einsum("ij,ij->i", Z, Z)
-    return np.maximum(sq[:, None] + sq[None, :] - 2.0 * (Z @ Z.T), 0.0)
+    return -np.minimum(neg_d2(Z, Z), 0.0)
 
 
 def simplex_points(rng, n, d2):
@@ -150,21 +155,19 @@ class TestBlockedKernel:
         assert np.exp(-745.0) > 0.0
 
     def test_many_blocks_bit_identical(self, tiny_blocks):
-        # ten-row tiles: each is np.exp's plain expression on its own Gram
-        # product, edge tiles and zeroed diagonals included
+        # ten-row tiles: each is np.exp of its own one-product -d2, edge
+        # tiles and zeroed diagonals included
         rng = np.random.default_rng(21)
         for _ in range(20):
             n, m = (int(v) for v in rng.integers(1, 60, size=2))
             L = rng.normal(size=(int(rng.integers(1, 6)), m)) * rng.uniform(0.1, 3.0)
             X = rng.normal(size=(n, m))
             Z = X @ L.T
-            sq = np.einsum("ij,ij->i", Z, Z)
             tiles, _ = metric._upper_tiles(L, X, np.zeros((n, 2)))
             per_side = -(-n // 10)
             assert len(tiles) == per_side * (per_side + 1) // 2
             for rows, cols, T in tiles:
-                d2 = sq[rows, None] + sq[None, cols] - 2.0 * (Z[rows] @ Z[cols].T)
-                ref = np.exp(-np.maximum(d2, 0.0))
+                ref = np.exp(np.minimum(neg_d2(Z[rows], Z[cols]), 0.0))
                 if rows == cols:
                     np.fill_diagonal(ref, 0.0)
                 assert np.array_equal(T, ref)
@@ -191,8 +194,8 @@ class TestBlockedKernel:
                 assert np.any((off > lo) & (off < hi))
         else:
             assert np.all((off > lo_hi[0]) & (off < lo_hi[1]))
-        out = np.empty_like(d2)
-        metric._exp_neg(d2, out)
+        out = -d2
+        metric._kernel_values(out)
         assert np.array_equal(out, np.exp(-d2))
         # 40 rows are one tile
         (_, _, T), = metric._upper_tiles(L, X, np.zeros((len(X), 2)))[0]
@@ -231,6 +234,23 @@ class TestBlockedKernel:
         expected = np.where(total > 0.0, S[:, 1] / np.where(total > 0.0, total, 1.0), 0.5)
         assert np.allclose(scores, expected, rtol=1e-14, atol=0.0)
 
+    def test_scores_as_accurate_as_row_differences(self, tiny_blocks):
+        # the one-product -d2 loses no accuracy: against kernels built from
+        # row differences, ||(q - x) L^T||^2, the scores of the fixture above
+        # are within 2.1e-14 relative (4.6e-14 with d2 = |q|^2 + |x|^2 - 2 q.x)
+        rng = np.random.default_rng(25)
+        X = rng.normal(size=(40, 3))
+        y = np.arange(40) % 2
+        L = rng.normal(size=(2, 3)) * 3.0
+        Q = np.vstack([rng.normal(size=(50, 3)), np.full((3, 3), 1e4)])
+        scores, degenerate = score_rows(L, Dataset(X, y), Q)
+        D = (Q[:, None, :] - X[None, :, :]) @ L.T
+        S = np.exp(-np.einsum("qnk,qnk->qn", D, D)) @ np.eye(2)[y] / np.bincount(y)
+        near = S.sum(axis=1) > 0.0
+        assert degenerate == np.count_nonzero(~near) == 3
+        np.testing.assert_allclose(scores[near], S[near, 1] / S[near].sum(axis=1),
+                                   rtol=1e-13, atol=0.0)
+
 
 def traced_peak(fn, *args):
     tracemalloc.start()
@@ -249,6 +269,18 @@ class TestKernelMemory:
         L = rng.normal(size=(10, 10)) * 0.1
         Q = rng.normal(size=(q, 10))
         assert traced_peak(positive_scores, L, data, Q) <= 0.25 * 8 * q * n
+
+    def test_score_rows_projects_queries_block_by_block(self):
+        # 36,000 more queries may add their scores and class sums, but not
+        # their 36,000 x 10 projections
+        n, m = 400, 10
+        rng = np.random.default_rng(28)
+        data = Dataset(rng.normal(size=(n, m)), np.arange(n) % 2)
+        L = rng.normal(size=(m, m)) * 0.1
+        Q = rng.normal(size=(40_000, m))
+        growth = (traced_peak(score_rows, L, data, Q)
+                  - traced_peak(score_rows, L, data, Q[:4000]))
+        assert growth < 8 * 36_000 * m
 
 
 @settings(max_examples=60, deadline=None)

@@ -585,8 +585,8 @@ class TestUpperTiles:
             assert np.abs(K - full).max() <= 1e-13
 
     def test_one_tile_equals_plain_kernel(self):
-        # at n <= 256 the one tile is the plain expression's kernel, bit for
-        # bit, so small fits give the same numbers as the full-kernel formula
+        # at n <= 256 the one tile is the one-product kernel, bit for bit, so
+        # small fits give the same numbers as the full-kernel formula
         rng = np.random.default_rng(25)
         for n in (4, 40, 256):
             data = random_dataset(rng, n=n)
@@ -595,3 +595,41 @@ class TestUpperTiles:
             K = seed_order_kernel(L, data.X)
             np.fill_diagonal(K, 0.0)
             assert T.shape == (n, n) and np.array_equal(T, K)
+
+
+class TestRowOrder:
+    """``fit`` hands Objective class-sorted rows, so each gradient product
+    meets one class's rows only; any other row order, with many label runs,
+    gives the same loss and gradient up to rounding."""
+
+    @staticmethod
+    def assert_order_free(data, L):
+        order = np.argsort(data.y, kind="stable")
+        assert np.count_nonzero(np.diff(data.y)) > 10
+        for lambda2 in (0.0, 1.5):
+            shuffled = Objective(data, None, 0.3, lambda2)
+            ordered = Objective(data.subset(order), None, 0.3, lambda2)
+            loss, cache = shuffled.value(L)
+            ref_loss, ref_cache = ordered.value(L)
+            assert loss.total == pytest.approx(ref_loss.total, rel=1e-12, abs=0.0)
+            g, ref = shuffled.gradient(L, cache), ordered.gradient(L, ref_cache)
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_class_smaller_than_one_tile(self):
+        # 300 rows are two 256-row tiles a side; class 1 has 20 rows
+        rng = np.random.default_rng(31)
+        y = np.zeros(300, dtype=int)
+        y[rng.choice(300, size=20, replace=False)] = 1
+        data = Dataset(rng.normal(size=(300, 4)), y, rng.uniform(size=300))
+        self.assert_order_free(data, rng.normal(size=(3, 4)) * 0.5)
+
+    def test_run_boundary_inside_off_diagonal_tile(self, monkeypatch):
+        import confmetric.metric as metric
+
+        # ten-row tiles; sorted, class 0 ends at row 13, inside the tile
+        # of rows 0-9 and columns 10-19
+        monkeypatch.setattr(metric, "_BLOCK_BYTES", 3 * 40 * 8)
+        rng = np.random.default_rng(32)
+        y = rng.permutation(np.repeat([0, 1], [13, 24]))
+        data = Dataset(rng.normal(size=(37, 3)), y, rng.uniform(size=37))
+        self.assert_order_free(data, rng.normal(size=(2, 3)))
