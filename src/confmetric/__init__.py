@@ -5,7 +5,6 @@ from .data_io import DatasetSchema, SynthConfig, load_csv, save_csv, split, synt
 from .errors import (
     ConfmetricError,
     DegenerateClassError,
-    DegenerateScoreWarning,
     DimensionMismatchError,
     MissingSupervisionError,
     NumericalFailureError,
@@ -36,7 +35,6 @@ from .metric import (
     confidence_score,
     kernel_similarity,
     positive_scores,
-    score_rows,
     similarity_scores,
     squared_distance,
 )
@@ -59,7 +57,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset", "DatasetSchema", "SynthConfig", "load_csv", "save_csv",
     "split", "synth_generate",
-    "ConfmetricError", "DegenerateClassError", "DegenerateScoreWarning",
+    "ConfmetricError", "DegenerateClassError",
     "DimensionMismatchError", "MissingSupervisionError",
     "NumericalFailureError", "SchemaMismatchError", "UndefinedMetricError",
     "ValidationError",
@@ -68,7 +66,7 @@ __all__ = [
     "FeatureWeightStats", "auroc", "feature_weight_stats",
     "heatmap_matrix", "n_zero_rows", "row_rank", "sparsity",
     "class_similarity", "confidence_score", "kernel_similarity",
-    "positive_scores", "score_rows", "similarity_scores", "squared_distance",
+    "positive_scores", "similarity_scores", "squared_distance",
     "ModelFile", "load_model", "save_model", "schema_fingerprint",
     "LossBreakdown", "RankingPairs",
     "build_ranking_pairs", "camel_cl_loss", "camel_loss", "margin",

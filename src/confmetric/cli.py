@@ -44,7 +44,7 @@ from .experiment import (
     write_results_csv,
     write_summary_csv,
 )
-from .metric import score_rows
+from .metric import positive_scores
 from .model_io import ModelFile, load_model, save_model
 from .optimize import TraceRecord, TrainConfig, fit
 
@@ -132,18 +132,16 @@ def cmd_predict(args) -> int:
     # labels are not needed for scoring; parse features and optional ids only
     rows, ids = _read_feature_rows(args.data, schema.feature_columns, args.id_column)
     train = Dataset(model.train_X, model.train_y)
-    # degenerate rows are counted in the JSON line, not warned about in text;
     # a matrix whose projections overflow is one error, not a file of NaNs
     try:
         with np.errstate(over="raise", invalid="raise"):
-            scores, degenerate = score_rows(model.matrix, train, rows)
+            scores = positive_scores(model.matrix, train, rows)
     except FloatingPointError as exc:
         raise NumericalFailureError(f"{exc} while scoring") from None
     labels = (scores > args.threshold).astype(int)
     write_csv(args.out, ["id", "confidence", "label"],
               zip(ids, map(float, scores), map(int, labels)))
-    _emit({"predictions": args.out, "n": len(scores), "threshold": args.threshold,
-           "degenerate": degenerate})
+    _emit({"predictions": args.out, "n": len(scores), "threshold": args.threshold})
     return 0
 
 

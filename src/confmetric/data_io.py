@@ -1,9 +1,9 @@
 """Dataset ingestion, synthetic generation, and seeded splitting.
 
-CSV interface: UTF-8, comma-separated, header row required, '.' decimal
-separator, no thousands separators. An empty string in the confidence
-column means the confidence is missing; confidences must be either all
-present or all absent.
+CSV interface: UTF-8, comma-separated, header row required, ASCII numbers
+with a '.' decimal separator and no digit-group separators. An empty string
+in the confidence column means the confidence is missing; confidences must
+be either all present or all absent.
 
 numpy's C reader parses the numeric cells. Whenever it cannot vouch for a
 file, the row parser reads the file again, and it alone raises the errors
@@ -141,8 +141,8 @@ def _parse_numbers(row: dict, columns, rownum: int) -> list[float]:
     values = []
     for col in columns:
         text = row.get(col)
-        try:
-            v = float(text)
+        try:  # float() also reads digit-group underscores and non-ASCII digits
+            v = float(text) if "_" not in text and text.strip().isascii() else math.nan
         except (TypeError, ValueError):
             v = math.nan
         if not math.isfinite(v):

@@ -44,7 +44,3 @@ class SchemaMismatchError(ConfmetricError):
     """Model and data schema fingerprints disagree."""
 
     code = "schema-mismatch"
-
-
-class DegenerateScoreWarning(UserWarning):
-    """Both class similarities underflowed to zero; score is uninformative."""

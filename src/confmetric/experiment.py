@@ -9,9 +9,9 @@ deterministic in the config seed; result records are emitted in canonical
 strictly ascending and methods distinct), so repeated runs are
 byte-identical.
 
-Validation and test rows are scored by ``metric.score_rows``, the package's
-one query scorer. Rows whose class similarities both underflow score 0.5
-and show in the AUROC values; no warning is raised for them.
+Validation and test rows are scored by ``metric.positive_scores``, the
+package's one query scorer, which gives every finite row a score from its
+class evidence, however far the row lies from the training rows.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .data_io import (
 from .dataset import Dataset
 from .errors import ConfmetricError, ValidationError
 from .evaluate import auroc, row_rank, sparsity
-from .metric import score_rows
+from .metric import positive_scores
 from .optimize import TrainConfig, fit
 
 METHODS = ("camel", "camel_cl")
@@ -178,12 +178,12 @@ def _run_cell(cfg, rec, train, val, test, trial_seed) -> ResultRecord:
     best = None  # (val_auroc, L, TrainConfig); first cell wins ties
     for tc in cfg.train_configs(rec.method, trial_seed):
         L, _ = fit(train_data, tc)
-        val_auc = auroc(score_rows(L, train_data, val.X)[0], val.y)
+        val_auc = auroc(positive_scores(L, train_data, val.X), val.y)
         if best is None or val_auc > best[0]:
             best = (val_auc, L, tc)
     rec.val_auroc, L, tc = best
     rec.lambda1, rec.lambda2 = float(tc.lambda1), float(tc.lambda2)  # a grid cell 4 is 4.0
-    rec.test_auroc = auroc(score_rows(L, train, test.X)[0], test.y)
+    rec.test_auroc = auroc(positive_scores(L, train, test.X), test.y)
     rec.sparsity = sparsity(L)
     rec.row_rank = row_rank(L)
     return rec

@@ -6,16 +6,16 @@ through L, which makes the implied quadratic form L^T L positive
 semidefinite by construction. Similarity is the Gaussian kernel of that
 distance with bandwidth absorbed into the scale of L.
 
-``score_rows`` is the one query scorer: it returns the scores together with
-how many rows were degenerate, which ``confmetric predict`` reports.
-``positive_scores`` returns only the scores and warns once about those rows.
+``positive_scores`` is the one query scorer, and it scores every finite row:
+a row whose kernel values would all underflow is taken relative to its
+nearest reference, which leaves its ratio s1 / (s0 + s1) unchanged.
 
 There are two kernel builders, one per job, and neither forms a full kernel.
 Both take -d2 from one product of the two ``_sides`` arrays, then clip it
 at 0 and take ``exp`` in place (``_kernel_values``), with no d2 array.
-``score_rows`` projects the queries and takes that product in row blocks of
-about ``_BLOCK_BYTES`` each, turns each block into kernel values while it is
-in cache and keeps only the block's two class sums.
+``positive_scores`` projects the queries and takes that product in row blocks
+of about ``_BLOCK_BYTES`` each, turns each block into kernel values while it
+is in cache and keeps only the block's two class sums.
 
 The training kernel, which fitting rebuilds at every loss evaluation, is
 symmetric, so ``_upper_tiles`` builds only its square tiles at or above the
@@ -42,17 +42,12 @@ All functions here are pure and thread-safe.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import (
-    DegenerateClassError,
-    DegenerateScoreWarning,
-    DimensionMismatchError,
-)
+from .errors import DegenerateClassError, DimensionMismatchError
 
 
 def _check_metric(L) -> np.ndarray:
@@ -91,6 +86,8 @@ def kernel_similarity(L, a, b) -> float:
 _BLOCK_BYTES = 512 * 1024
 # np.exp(-d2) is exactly 0.0 for every d2 at or above this
 _EXP_ZERO = 746.0
+# np.exp(x) is subnormal or 0.0 for every x below this, about -708.4
+_NORMAL_EDGE = math.log(np.finfo(np.float64).tiny)
 
 
 def _project(L, X, what: str):
@@ -242,27 +239,24 @@ def confidence_score(s_y: float, s_not_y: float) -> float:
     """Class confidence s_y / (s_y + s_not_y).
 
     Complementary: confidence_score(a, b) + confidence_score(b, a) == 1.
-    When both similarities underflowed to exactly zero the score carries no
-    class evidence; 0.5 is returned and a DegenerateScoreWarning is issued.
+    Two zero similarities carry no class evidence and raise, as negative
+    ones do.
     """
-    if s_y < 0.0 or s_not_y < 0.0:
-        raise DimensionMismatchError("similarity scores must be nonnegative")
     total = s_y + s_not_y
-    if total == 0.0:
-        warnings.warn(
-            "both class similarities underflowed to zero; returning 0.5",
-            DegenerateScoreWarning,
-            stacklevel=2,
-        )
-        return 0.5
+    if s_y < 0.0 or s_not_y < 0.0 or total == 0.0:
+        raise DimensionMismatchError("similarity scores must be nonnegative, not both zero")
     return s_y / total
 
 
-def score_rows(L, train: Dataset, X) -> tuple[np.ndarray, int]:
+def positive_scores(L, train: Dataset, X) -> np.ndarray:
     """Confidence s1 / (s0 + s1) in class 1 for each row of X, where s_y is
-    the row's mean similarity to the label-y rows of train (no self-exclusion),
-    and how many rows had s0 = s1 = 0 (underflow) and so score 0.5. A NaN
-    similarity (from a metric whose projections overflow) scores NaN.
+    the row's mean similarity to the label-y rows of train (no self-exclusion).
+
+    A row whose largest -d2, ``top``, is below ``_NORMAL_EDGE`` has ``top``
+    subtracted first: both sums are then divided by exp(top), which leaves
+    the ratio as it is, and the nearest reference adds exp(0) = 1, so no
+    finite row underflows both classes. A NaN similarity (from a metric whose
+    projections overflow) scores NaN.
 
     Raises DegenerateClassError if train lacks a class.
     """
@@ -279,24 +273,14 @@ def score_rows(L, train: Dataset, X) -> tuple[np.ndarray, int]:
     G = np.empty((min(h, q), n))
     S = np.empty((q, 2))
     for i in range(0, q, h):
-        rows, b = slice(i, i + h), min(h, q - i)
+        rows, block = slice(i, i + h), G[: min(h, q - i)]
         # the queries are projected block by block, never all at once
-        np.matmul(_sides(*_project(L, X[rows], "query"))[0], right.T, out=G[:b])
-        _kernel_values(G[:b])
-        np.matmul(G[:b], onehot, out=S[rows])
+        np.matmul(_sides(*_project(L, X[rows], "query"))[0], right.T, out=block)
+        top = block.max(axis=1)
+        far = top < _NORMAL_EDGE  # False for NaN
+        if far.any():
+            block[far] -= top[far, None]
+        _kernel_values(block)
+        np.matmul(block, onehot, out=S[rows])
     S /= np.array([n0, n1], dtype=np.float64)
-    total = S[:, 0] + S[:, 1]
-    scores = np.full(total.shape, 0.5)
-    np.divide(S[:, 1], total, out=scores, where=total != 0.0)
-    return scores, int(np.count_nonzero(total == 0.0))
-
-
-def positive_scores(L, train: Dataset, X) -> np.ndarray:
-    """The scores of ``score_rows``; one DegenerateScoreWarning counts the
-    rows that scored 0.5 because both class similarities underflowed."""
-    scores, degenerate = score_rows(L, train, X)
-    if degenerate:
-        warnings.warn(f"{degenerate} of {scores.size} rows scored 0.5: both class "
-                      "similarities underflowed to zero", DegenerateScoreWarning,
-                      stacklevel=2)
-    return scores
+    return S[:, 1] / (S[:, 0] + S[:, 1])

@@ -218,8 +218,9 @@ class TestTrainPredictEvaluate:
         assert json.loads(err)["message"] == (
             "row 3, column 'label': label must be 0 or 1, got '2'")
 
-    def test_predict_counts_degenerate_rows(self, tmp_path, capsys):
-        # a row far from every reference row underflows both class sums
+    def test_predict_scores_far_rows(self, tmp_path, capsys):
+        # a row far from every reference row underflows both class sums; its
+        # nearest reference row, a positive, alone decides its score
         _, model = trained_model(tmp_path, capsys)
         data = tmp_path / "far.csv"
         data.write_text("f0,f1,f2,f3,f4\n"
@@ -233,10 +234,9 @@ class TestTrainPredictEvaluate:
             "--out", str(preds),
         )
         assert (code, err) == (0, "")
-        info = json.loads(out)
-        assert (info["n"], info["degenerate"]) == (4, 1)
+        assert json.loads(out) == {"predictions": str(preds), "n": 4, "threshold": 0.5}
         with open(preds) as fh:
-            assert [r["confidence"] for r in csv.DictReader(fh)][1] == "0.5"
+            assert [r["confidence"] for r in csv.DictReader(fh)][1] == "1.0"
 
     @pytest.mark.parametrize("threshold, label", [("0.5", "0"), ("0.4", "1")],
                              ids=["equal-is-negative", "above-is-positive"])
@@ -930,8 +930,8 @@ class TestExperiment:
         ]
 
     def test_collapsed_fit_prints_nothing_on_stderr(self, tmp_path, capsys):
-        # lambda2 = 500 sends every kernel value to 0, so most held-out rows
-        # are degenerate; they show in the AUROC values, not as warnings
+        # lambda2 = 500 sends every off-diagonal training kernel value to 0;
+        # each held-out row is still scored, by its nearest reference rows
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({
             "trials": 1, "train_sizes": [40], "max_iters": 5,

@@ -1,3 +1,4 @@
+import re
 import sys
 import warnings
 from unittest import mock
@@ -76,6 +77,17 @@ class TestLoadCsv:
         p = self.write(tmp_path, "f0,label\nnan,1\n")
         with pytest.raises(ValidationError, match="row 2"):
             load_csv(p, DatasetSchema(["f0"], "label"))
+
+    @pytest.mark.parametrize("column, text", [
+        ("f0", "1_000"), ("f0", "1e5_0"), ("f0", "\u0663"), ("f0", "\uff11"),
+        ("confidence", "0.2_5"), ("confidence", "\u0660.5"), ("confidence", "\uff10.5"),
+    ])
+    def test_cells_float_reads_but_numpy_does_not(self, tmp_path, column, text):
+        cells = {"f0": "1.0", "label": "1", "confidence": "0.5", column: text}
+        p = self.write(tmp_path, "f0,label,confidence\n" + ",".join(cells.values()) + "\n")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"row 2, column {column!r}: {text!r} is not a finite number")):
+            load_csv(p, DatasetSchema(["f0"], "label", "confidence"))
 
     def test_bad_label(self, tmp_path):
         p = self.write(tmp_path, "f0,label\n1.0,2\n")

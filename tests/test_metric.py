@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from confmetric import (
     Dataset,
     DegenerateClassError,
-    DegenerateScoreWarning,
     DimensionMismatchError,
     class_similarity,
     confidence_score,
     kernel_similarity,
     positive_scores,
-    score_rows,
     similarity_scores,
     squared_distance,
 )
@@ -130,6 +128,16 @@ def seed_order_kernel(L, X, Q=None):
     return K
 
 
+def row_difference_scores(L, X, y, Q):
+    """s1 / (s0 + s1) from kernels built from row differences, ||(q - x) L^T||^2,
+    with each query's row shifted by its smallest d2: both class sums are
+    divided by the same exp(-min d2), so the ratio is unchanged."""
+    D = (Q[:, None, :] - X[None, :, :]) @ L.T
+    d2 = np.einsum("qnk,qnk->qn", D, D)
+    S = np.exp(d2.min(axis=1, keepdims=True) - d2) @ np.eye(2)[y] / np.bincount(y)
+    return S[:, 1] / S.sum(axis=1)
+
+
 def plain_d2(L, X):
     """Clipped squared distances between rows of X, as seed_order_kernel forms them."""
     Z = X @ L.T
@@ -211,7 +219,7 @@ class TestBlockedKernel:
         L = 1e200 * np.eye(3)
         with np.errstate(all="ignore"):
             tiles, KB = metric._upper_tiles(L, X, np.eye(2)[y])
-            scores, _ = score_rows(L, Dataset(X, y), X[:7])
+            scores = positive_scores(L, Dataset(X, y), X[:7])
         assert all(np.isnan(T).any() for _, _, T in tiles)
         assert np.isnan(KB).all() and np.isnan(scores).all()
 
@@ -219,37 +227,47 @@ class TestBlockedKernel:
         rng = np.random.default_rng(25)
         X = rng.normal(size=(40, 3))
         y = np.arange(40) % 2
-        data = Dataset(X, y)
         L = rng.normal(size=(2, 3)) * 3.0
-        # the last three queries are far from every reference row
-        Q = np.vstack([rng.normal(size=(50, 3)), np.full((3, 3), 1e4)])
-        scores, degenerate = score_rows(L, data, Q)
+        # three queries far from every reference row, in blocks beside near rows
+        Q = rng.normal(size=(53, 3))
+        far = np.isin(np.arange(53), [4, 26, 52])
+        Q[far] = 1e4
+        scores = positive_scores(L, Dataset(X, y), Q)
         S = seed_order_kernel(L, X, Q) @ np.eye(2)[y] / np.bincount(y)
-        total = S.sum(axis=1)
-        assert degenerate == np.count_nonzero(total == 0.0)
-        assert degenerate == 3
-        with pytest.warns(DegenerateScoreWarning, match="^3 of 53 rows") as record:
-            assert np.array_equal(positive_scores(L, data, Q), scores)
-        assert len(record) == 1
-        expected = np.where(total > 0.0, S[:, 1] / np.where(total > 0.0, total, 1.0), 0.5)
-        assert np.allclose(scores, expected, rtol=1e-14, atol=0.0)
+        assert np.all(S[far] == 0.0) and np.all(S[~far] > 0.0)
+        # the near rows are scored unshifted, as one product for all rows would
+        np.testing.assert_allclose(scores[~far], S[~far, 1] / S[~far].sum(axis=1),
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(scores, row_difference_scores(L, X, y, Q),
+                                   rtol=1e-13, atol=0.0)
 
-    def test_scores_as_accurate_as_row_differences(self, tiny_blocks):
+    def test_scores_as_accurate_as_row_differences(self):
         # the one-product -d2 loses no accuracy: against kernels built from
-        # row differences, ||(q - x) L^T||^2, the scores of the fixture above
-        # are within 2.1e-14 relative (4.6e-14 with d2 = |q|^2 + |x|^2 - 2 q.x)
+        # row differences, ||(q - x) L^T||^2, these scores are within 2.1e-14
+        # relative (4.6e-14 with d2 = |q|^2 + |x|^2 - 2 q.x), the three far
+        # rows included
         rng = np.random.default_rng(25)
         X = rng.normal(size=(40, 3))
         y = np.arange(40) % 2
         L = rng.normal(size=(2, 3)) * 3.0
         Q = np.vstack([rng.normal(size=(50, 3)), np.full((3, 3), 1e4)])
-        scores, degenerate = score_rows(L, Dataset(X, y), Q)
-        D = (Q[:, None, :] - X[None, :, :]) @ L.T
-        S = np.exp(-np.einsum("qnk,qnk->qn", D, D)) @ np.eye(2)[y] / np.bincount(y)
-        near = S.sum(axis=1) > 0.0
-        assert degenerate == np.count_nonzero(~near) == 3
-        np.testing.assert_allclose(scores[near], S[near, 1] / S[near].sum(axis=1),
+        scores = positive_scores(L, Dataset(X, y), Q)
+        np.testing.assert_allclose(scores, row_difference_scores(L, X, y, Q),
                                    rtol=1e-13, atol=0.0)
+
+    def test_rows_at_the_edge_of_the_normal_range(self):
+        # small dyadic coordinates keep every d2 exact. The first query's
+        # nearest reference is at d2 = 745.5, where exp(-d2) is already 0.0
+        # (a threshold at -_EXP_ZERO would leave it unshifted and score NaN);
+        # it is scored relative to that reference. The second, at d2 = 700,
+        # is inside exp's normal range and scored unshifted.
+        X = np.array([[0, 0, 0, 0], [0, 0, 0, -1], [0, 0, 0, 40], [0, 0, 0, -40]], float)
+        data = Dataset(X, [1, 0, 1, 0])
+        Q = [[26.5, 6.5, 1.0, 0.0], [26.0, 4.0, 2.0, 2.0]]
+        scores = positive_scores(np.eye(4), data, Q)
+        assert scores[0] == 0.5 / (math.exp(-1.0) / 2 + 0.5)
+        s1, s0 = np.exp(-700.0) / 2, np.exp(-705.0) / 2
+        assert scores[1] == s1 / (s0 + s1)
 
 
 def traced_peak(fn, *args):
@@ -270,7 +288,7 @@ class TestKernelMemory:
         Q = rng.normal(size=(q, 10))
         assert traced_peak(positive_scores, L, data, Q) <= 0.25 * 8 * q * n
 
-    def test_score_rows_projects_queries_block_by_block(self):
+    def test_positive_scores_projects_queries_block_by_block(self):
         # 36,000 more queries may add their scores and class sums, but not
         # their 36,000 x 10 projections
         n, m = 400, 10
@@ -278,8 +296,8 @@ class TestKernelMemory:
         data = Dataset(rng.normal(size=(n, m)), np.arange(n) % 2)
         L = rng.normal(size=(m, m)) * 0.1
         Q = rng.normal(size=(40_000, m))
-        growth = (traced_peak(score_rows, L, data, Q)
-                  - traced_peak(score_rows, L, data, Q[:4000]))
+        growth = (traced_peak(positive_scores, L, data, Q)
+                  - traced_peak(positive_scores, L, data, Q[:4000]))
         assert growth < 8 * 36_000 * m
 
 
@@ -290,17 +308,22 @@ class TestKernelMemory:
     m_prime=st.integers(1, 5),
     q=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
+    offset=st.one_of(st.just(0.0), st.floats(1.0, 1e6)),
 )
-def test_positive_scores_label_flip_and_row_order_property(n, m, m_prime, q, seed):
+def test_positive_scores_label_flip_and_row_order_property(n, m, m_prime, q, seed,
+                                                           offset):
     """Flipping every training label scores 1 - s; permuting the training rows
     changes nothing. Unit-scale L on unit-scale data keeps every squared
-    distance far below exp's underflow, so no row is degenerate."""
+    distance far below exp's underflow; a large offset moves the queries so
+    far that every kernel value underflows, and each score is still a
+    finite number in [0, 1]."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, m))
     y = rng.permutation(np.arange(n) % 2)  # both classes present
     L = rng.normal(size=(m_prime, m)) / np.sqrt(m)
-    Q = rng.normal(size=(q, m))
+    Q = rng.normal(size=(q, m)) + offset
     scores = positive_scores(L, Dataset(X, y), Q)
+    assert np.all((scores >= 0.0) & (scores <= 1.0))  # False for NaN
     flipped = positive_scores(L, Dataset(X, 1 - y), Q)
     np.testing.assert_allclose(flipped, 1.0 - scores, rtol=0, atol=1e-12)
     perm = rng.permutation(n)
@@ -323,10 +346,10 @@ class TestClassSimilarityQuery:
     def test_underflow_to_zero(self):
         data = Dataset(np.array([[1e6], [0.0]]), [1, 0])
         assert positive_scores(np.eye(1), data, [0.0]).tolist() == [0.0]
+        # both class similarities of the query at 0 underflow; its nearest
+        # reference, a positive, alone decides its score
         far = Dataset(np.array([[1e6], [2e6]]), [1, 0])
-        with pytest.warns(DegenerateScoreWarning, match="1 of 2 rows"):
-            scores = positive_scores(np.eye(1), far, [[0.0], [1e6]])
-        assert scores.tolist() == [0.5, 1.0]
+        assert positive_scores(np.eye(1), far, [[0.0], [1e6]]).tolist() == [1.0, 1.0]
 
     def test_mean_of_three_kernels(self):
         ds = [-math.log(0.5), -math.log(0.1), -math.log(0.3), -math.log(0.1)]
@@ -373,9 +396,10 @@ class TestConfidenceScore:
     def test_zero_numerator(self):
         assert confidence_score(0.0, 0.4) == 0.0
 
-    def test_both_zero_returns_half_with_warning(self):
-        with pytest.warns(DegenerateScoreWarning):
-            assert confidence_score(0.0, 0.0) == 0.5
+    def test_both_zero_raises(self):
+        # no class evidence at all is an error, as a negative similarity is
+        with pytest.raises(DimensionMismatchError, match="not both zero"):
+            confidence_score(0.0, 0.0)
 
     def test_complementarity(self):
         rng = np.random.default_rng(4)
@@ -402,7 +426,7 @@ class TestPredict:
     def test_missing_class(self):
         data = Dataset(np.array([[0.0], [1.0]]), [1, 1])
         with pytest.raises(DegenerateClassError):
-            score_rows(np.eye(1), data, [0.0])
+            positive_scores(np.eye(1), data, [0.0])
 
 
 def test_similarity_scores_match_scalar_path():
