@@ -147,8 +147,6 @@ def cmd_predict(args) -> int:
 
 def _read_feature_rows(path, feature_columns, id_column):
     X, _, _, ids = read_columns(path, feature_columns, id_column=id_column)
-    if not len(X):
-        raise ValidationError(f"{path}: no data rows")
     return X, (ids if id_column else [str(i) for i in range(len(X))])
 
 
@@ -156,8 +154,6 @@ def cmd_evaluate(args) -> int:
     # only the labels are scored; the other flags' cells are not parsed
     _flag_columns(read_header(args.data), args)
     _, y, _, _ = read_columns(args.data, [], label=args.label)
-    if not len(y):
-        raise ValidationError(f"{args.data}: no data rows")
     scores = read_columns(args.pred, ["confidence"])[0][:, 0]
     if len(scores) != len(y):
         raise ValidationError(

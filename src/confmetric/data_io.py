@@ -213,7 +213,7 @@ def read_columns(path, features, label=None, confidence=None, id_column=None):
     finite, a label is not exactly "0" or "1" or a confidence is empty or
     outside [0, 1], the row parser reads the file again. It returns the same
     values bit for bit, or raises the ValidationError that names the first bad
-    row, column and text.
+    row, column and text. A file with no data rows is a ValidationError too.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -228,6 +228,8 @@ def read_columns(path, features, label=None, confidence=None, id_column=None):
         if rows is None:
             fh.seek(0)
             rows = _read_slow(fh, features, label, confidence, id_column)
+    if not len(rows[0]):
+        raise ValidationError(f"{path}: no data rows")
     return rows
 
 
@@ -317,8 +319,6 @@ def load_csv(path, schema: DatasetSchema) -> tuple[Dataset, list[str] | None]:
     """
     X, y, c, ids = read_columns(path, schema.feature_columns, schema.label_column,
                                 schema.confidence_column, schema.id_column)
-    if not len(X):
-        raise ValidationError("CSV contains no data rows")
     return Dataset(X, y, c), ids
 
 

@@ -9,6 +9,26 @@ import numpy as np
 from .errors import ValidationError
 
 
+def check_labels(y, c, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Labels y as int64 and confidences c (or None) as float64, each checked
+    to be a vector of length n, with labels in {0, 1} and finite confidences
+    in [0, 1]; anything else is a ValidationError."""
+    y = np.asarray(y)
+    if y.shape != (n,):
+        raise ValidationError("labels must be a vector of length n")
+    if not np.isin(y, (0, 1)).all():
+        raise ValidationError("labels must be 0 or 1")
+    if c is not None:
+        c = np.asarray(c, dtype=np.float64)
+        if c.shape != (n,):
+            raise ValidationError("confidences must be a vector of length n")
+        if not np.all(np.isfinite(c)):
+            raise ValidationError("confidences contain non-finite values")
+        if not np.all((c >= 0.0) & (c <= 1.0)):
+            raise ValidationError("confidences must lie in [0, 1]")
+    return y.astype(np.int64), c
+
+
 @dataclass
 class Dataset:
     """Feature matrix with binary labels and optional confidence labels.
@@ -29,24 +49,11 @@ class Dataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
-        self.y = np.asarray(self.y)
         if self.X.ndim != 2 or self.X.shape[0] < 1 or self.X.shape[1] < 1:
             raise ValidationError("X must be a non-empty 2-D array")
         if not np.all(np.isfinite(self.X)):
             raise ValidationError("features contain non-finite values")
-        if self.y.shape != (self.X.shape[0],):
-            raise ValidationError("labels must be a vector of length n")
-        if not np.isin(self.y, (0, 1)).all():
-            raise ValidationError("labels must be 0 or 1")
-        self.y = self.y.astype(np.int64)
-        if self.c is not None:
-            self.c = np.asarray(self.c, dtype=np.float64)
-            if self.c.shape != (self.X.shape[0],):
-                raise ValidationError("confidences must be a vector of length n")
-            if not np.all(np.isfinite(self.c)):
-                raise ValidationError("confidences contain non-finite values")
-            if self.c.min() < 0.0 or self.c.max() > 1.0:
-                raise ValidationError("confidences must lie in [0, 1]")
+        self.y, self.c = check_labels(self.y, self.c, self.X.shape[0])
 
     @property
     def n(self) -> int:

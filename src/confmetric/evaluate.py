@@ -65,7 +65,7 @@ def row_rank(L, tol: float = 1e-8) -> int:
     Counts singular values above tol relative to the largest one; the zero
     matrix has rank 0.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValidationError("tolerance must be positive")
     L = np.asarray(L, dtype=np.float64)
     if not L.any():

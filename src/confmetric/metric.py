@@ -24,9 +24,10 @@ buffer. Each tile gets its own product, the same elementwise rule and a
 zeroed diagonal, and gives its share of the class sums (``K_ij B_j`` and
 ``K_ij^T B_i``) while it is in cache; ``similarity_scores`` and the
 objective read those sums, and the gradient takes its products with K from
-the same tiles, class by class (``_class_products``), so fitting never forms
-an n x n array. A diagonal tile is symmetric only to the last bit, as
-entries (i, j) and (j, i) add the two norms in opposite order.
+the same tiles, over each class's span of the objective's label-sorted rows
+(``_class_products``), so fitting never forms an n x n array. A diagonal
+tile is symmetric only to the last bit, as entries (i, j) and (j, i) add the
+two norms in opposite order.
 ``class_similarity`` works from row differences, apart from both builders.
 
 Underflow rule: ``exp(-d2)`` is 0.0 exactly for every ``d2 >= 746``, and
@@ -42,7 +43,6 @@ All functions here are pure and thread-safe.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 
 import numpy as np
 
@@ -176,23 +176,23 @@ def _tile_into(out, rows, cols, T, P) -> None:
         out[cols] += T.T @ P[rows]
 
 
-def _class_products(tiles, B, Pt) -> np.ndarray:
+def _class_products(tiles, n0, Pt) -> np.ndarray:
     """(K (B_c P))^T for c = 0, 1, stacked, from P^T: K has the upper tiles
-    ``tiles`` and B holds one-hot labels. Each tile's columns, and its
-    mirror's rows, meet B_c P only from their first to their last class-c
-    row, so on rows sorted by label no product multiplies a row that B_c
-    zeroes. P^T times a tile is faster than a tile times P.
+    ``tiles`` over rows sorted by label, and B_c keeps class c's rows, the
+    first n0 for class 0 and the rest for class 1. Each tile's columns, and
+    its mirror's rows, meet B_c P only where they cross class c's span, so
+    no product multiplies a row that B_c zeroes. P^T times a tile is faster
+    than a tile times P.
     """
     out = np.zeros((2, *Pt.shape))
-    classes = [(np.flatnonzero(B[:, c]).tolist(), Pt * B[:, c]) for c in (0, 1)]
+    spans = ((0, n0), (n0, Pt.shape[1]))
     for rows, cols, T in tiles:
         shares = ((rows, cols, T.T), (cols, rows, T))  # (to, from, from x to tile)
         for dst, src, A in shares[: 1 + (rows.start != cols.start)]:
-            for c, (members, Pc) in enumerate(classes):
-                lo, hi = bisect_left(members, src.start), bisect_left(members, src.stop)
-                if lo < hi:
-                    a, b = members[lo], members[hi - 1] + 1
-                    out[c, :, dst] += Pc[:, a:b] @ A[a - src.start : b - src.start]
+            for c, (lo, hi) in enumerate(spans):
+                a, b = max(src.start, lo), min(src.stop, hi)
+                if a < b:
+                    out[c, :, dst] += Pt[:, a:b] @ A[a - src.start : b - src.start]
     return out
 
 
@@ -201,7 +201,7 @@ def similarity_scores(L, data: Dataset) -> np.ndarray:
 
     Returns an (n, 2) array S where S[i, y] is the mean similarity of
     instance i to all other instances with label y (self excluded by index).
-    Raises DegenerateClassError if any required reference set is empty.
+    Raises DegenerateClassError if a class has fewer than 2 instances.
     """
     onehot, counts = _class_references(data)
     return _upper_tiles(L, data.X, onehot)[1] / counts
@@ -210,17 +210,14 @@ def similarity_scores(L, data: Dataset) -> np.ndarray:
 def _class_references(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """One-hot labels and, per instance and class, the reference-set size.
 
-    The own-class reference set excludes the instance itself. Raises
-    DegenerateClassError if any reference set is empty.
+    The own-class reference set excludes the instance itself, so each class
+    needs two instances; with fewer, DegenerateClassError is raised.
     """
     n0, n1 = data.class_counts()
-    if n0 < 1 or n1 < 1 or data.n < 2:
-        raise DegenerateClassError("each class needs at least one reference instance")
+    if min(n0, n1) < 2:
+        raise DegenerateClassError("each class needs at least 2 instances")
     onehot = np.eye(2)[data.y]
-    counts = np.array([n0, n1], dtype=np.float64)[None, :] - onehot
-    if np.any(counts[np.arange(data.n), data.y] < 1):
-        raise DegenerateClassError("a class has no reference instances besides self")
-    return onehot, counts
+    return onehot, np.array([n0, n1], dtype=np.float64)[None, :] - onehot
 
 
 def class_similarity(L, data: Dataset, i: int, y: int) -> float:
@@ -240,10 +237,10 @@ def confidence_score(s_y: float, s_not_y: float) -> float:
 
     Complementary: confidence_score(a, b) + confidence_score(b, a) == 1.
     Two zero similarities carry no class evidence and raise, as negative
-    ones do.
+    or NaN ones do.
     """
     total = s_y + s_not_y
-    if s_y < 0.0 or s_not_y < 0.0 or total == 0.0:
+    if not (s_y >= 0.0 and s_not_y >= 0.0 and total > 0.0):  # NaN fails too
         raise DimensionMismatchError("similarity scores must be nonnegative, not both zero")
     return s_y / total
 

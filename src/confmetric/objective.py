@@ -7,10 +7,15 @@ adds a pairwise hinge penalty that pushes the score margin of instances the
 labeler was more confident about above the margin of instances she was less
 confident about, within each class.
 
-``Objective`` evaluates the ranking variant on one dataset. What depends
-only on the data (the one-hot labels, the class reference counts, the
-confidence ranks and the weights) is built once, when it is constructed;
-the class structure is kept at n x 2, so none of it is n x n.
+``Objective`` evaluates the ranking variant on one dataset. It takes the
+rows in any order and keeps them stably sorted by label: every term is a sum
+over instances or a mean over a class, so the order changes no value, any
+caller's order gives the same bits, and each gradient product meets one
+class's rows only. It checks that each class has two instances and, with the
+hinge on, that confidences are given. What depends only on the data (the
+one-hot labels, the class reference counts, the confidence ranks and the
+weights) is built once, when it is constructed; the class structure is kept
+at n x 2, so none of it is n x n.
 ``Objective.value(L)`` builds the kernel once, as its upper tiles (see
 ``metric._upper_tiles``), and returns the loss together with an
 ``ObjectiveCache`` holding those tiles and each instance's hinge gain: its
@@ -47,12 +52,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import Dataset
-from .errors import (
-    DimensionMismatchError,
-    MissingSupervisionError,
-    ValidationError,
-)
+from .dataset import Dataset, check_labels
+from .errors import DimensionMismatchError, MissingSupervisionError
 from .metric import (
     _check_metric,
     _class_references,
@@ -93,14 +94,12 @@ class RankingPairs:
 def build_ranking_pairs(labels, confidences) -> RankingPairs:
     """All (a, b) with equal labels and strictly greater confidence at a.
 
-    Ties produce no pair.
+    Ties produce no pair. Labels and confidences are checked as ``Dataset``
+    checks them.
     """
     if confidences is None:
         raise MissingSupervisionError("ranking pairs require confidence labels")
-    labels = np.asarray(labels)
-    confidences = np.asarray(confidences, dtype=np.float64)
-    if confidences.min() < 0.0 or confidences.max() > 1.0:
-        raise ValidationError("confidences must lie in [0, 1]")
+    labels, confidences = check_labels(labels, confidences, np.size(labels))
     same = labels[:, None] == labels[None, :]
     higher = confidences[:, None] > confidences[None, :]
     a_idx, b_idx = np.nonzero(same & higher)
@@ -111,7 +110,7 @@ def _confidence_ranks(y: np.ndarray, c) -> np.ndarray:
     """Each instance's confidence rank, every class-1 rank above every
     class-0 one; tied confidences share a rank, so they make no pair."""
     if c is None:
-        raise MissingSupervisionError("ranking pairs require confidence labels")
+        raise MissingSupervisionError("lambda2 > 0 requires confidence labels")
     return np.unique(c, return_inverse=True)[1] + len(y) * y
 
 
@@ -154,6 +153,8 @@ def _check_pairs(pairs: RankingPairs, n: int) -> np.ndarray:
 def camel_loss(L, data: Dataset, lambda1: float) -> LossBreakdown:
     """Push/pull class-label loss plus element-wise L1 penalty."""
     L = _check_metric(L)
+    # Objective's row order, so that at lambda2 = 0 the two agree bit for bit
+    data = data.subset(np.argsort(data.y, kind="stable"))
     S = similarity_scores(L, data)
     pushpull = float(-np.sum(_margins(S, data.y)))
     l1 = float(lambda1 * np.abs(L).sum())
@@ -175,24 +176,30 @@ class ObjectiveCache:
 class Objective:
     """Class-label loss, L1 penalty and ranking hinge on one dataset.
 
-    Built once per dataset and evaluated at many L. Both class reference
-    sets of every instance must be nonempty. Instance i's margin is
-    sum_c W_ic (K B)_ic, with B the one-hot labels and W = (2 B - 1) / counts
-    (+1/own, -1/opp).
+    Built once per dataset and evaluated at many L. ``data`` holds the rows
+    stably sorted by label, class 0 its first ``n0``, and the cache's tiles
+    and gains follow that order. Each class needs at least 2 instances
+    (DegenerateClassError). Instance i's margin is sum_c W_ic (K B)_ic, with
+    B the one-hot labels and W = (2 B - 1) / counts (+1/own, -1/opp).
 
     With ``pairs`` None the hinge runs over every ranking pair of the data's
     confidences without listing them: only each instance's confidence rank
-    is kept. Given ``RankingPairs``, it runs over those pairs only, each of
-    which must index a training row.
+    is kept, and lambda2 > 0 requires confidences
+    (MissingSupervisionError). Given ``RankingPairs``, it runs over those
+    pairs only, each of which must index a row of the caller's data.
     """
 
     def __init__(
         self, data: Dataset, pairs: RankingPairs | None, lambda1: float, lambda2: float
     ):
-        self.data = data
+        order = np.argsort(data.y, kind="stable")
+        self.data = data = data.subset(order)
+        self.n0 = data.class_counts()[0]
         self.onehot, self.counts = _class_references(data)
         self.W = (2.0 * self.onehot - 1.0) / self.counts
-        self.pairs = None if pairs is None else _check_pairs(pairs, data.n)
+        self.pairs = None
+        if pairs is not None:  # from the caller's row indices to the sorted ones
+            self.pairs = np.argsort(order)[_check_pairs(pairs, data.n)]
         self.rank = None
         if pairs is None and lambda2 > 0:
             self.rank = _confidence_ranks(data.y, data.c)
@@ -258,9 +265,8 @@ class Objective:
         never formed: r = rowsum(M * (K B)) + rowsum(B * (K M)) and
         X^T A X = sum_c (M_c * X)^T K (B_c * X). All four products with K
         come from K (B_c [1 | X | M]) for c = 0, 1, taken tile by tile over
-        each tile's span of class-c rows, so on rows sorted by label, as
-        ``fit`` gives them, no row that B_c zeroes is multiplied; any other
-        order gives the same gradient up to rounding.
+        the tile's share of class c's span of the sorted rows, so no row that
+        B_c zeroes is multiplied.
         With a unit diagonal the self terms would cancel only in exact
         arithmetic, which fails at a near-identity kernel.
         """
@@ -274,7 +280,7 @@ class Objective:
             coef += self.lambda2 * cache.gain
         M = coef[:, None] * self.W
         # (K (B_c [1 | X | M]))^T for each class c
-        KP = _class_products(cache.tiles, B, np.vstack([np.ones(n), X.T, M.T]))
+        KP = _class_products(cache.tiles, self.n0, np.vstack([np.ones(n), X.T, M.T]))
         r = np.einsum("ic,ci->i", M, KP[:, 0]) + np.einsum("ik,cki->i", B, KP[:, -2:])
         XAtX = sum(KP[c, 1 : 1 + m] @ (M[:, c, None] * X) for c in (0, 1))
         return -2.0 * L @ (X.T @ (r[:, None] * X) - XAtX.T - XAtX)

@@ -13,8 +13,9 @@ zero diagonal, so each margin is at most 1, the push/pull term at least -n
 and the hinge at least 0, and no trial scores below lambda1 ||L||_1 - n.
 Such a trial counts as rejected: the step halves as for any other, so the
 steps, the accepted L and the trace are those of evaluating every trial.
-The objective is non-convex in L; results depend on the initialization seed
-and no global-optimality claim is made.
+The rows reach the objective in the caller's order; it sorts and checks
+them itself. The objective is non-convex in L; results depend on the
+initialization seed and no global-optimality claim is made.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ import numpy as np
 
 from .data_io import _array_fits, _integers, _numbers
 from .dataset import Dataset
-from .errors import (
-    DegenerateClassError,
-    MissingSupervisionError,
-    NumericalFailureError,
-    ValidationError,
-)
+from .errors import NumericalFailureError, ValidationError
 from .evaluate import sparsity
 from .objective import LossBreakdown, Objective
 
@@ -109,7 +105,7 @@ class TrainTrace:
 
 def soft_threshold(M, t: float) -> np.ndarray:
     """Element-wise v -> sign(v) * max(|v| - t, 0); |v| <= t becomes exact 0."""
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise ValidationError("threshold must be nonnegative")
     M = np.asarray(M, dtype=np.float64)
     return np.sign(M) * np.maximum(np.abs(M) - t, 0.0)
@@ -156,10 +152,11 @@ def fit(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     ends a fit by "step_underflow" appends no row, so its kernels are in no
     row's count.
 
-    One ``Objective`` serves the whole fit, on the rows sorted by label
-    after ``init_metric``, so no gradient product meets the other class's
-    rows. The starting loss and every line-search trial build the kernel's
-    upper tiles exactly once; the accepted trial's cache (tiles and hinge
+    One ``Objective`` serves the whole fit and is given the rows as they
+    come, as ``init_metric`` is. It raises DegenerateClassError when a class
+    has fewer than 2 instances and MissingSupervisionError when lambda2 > 0
+    comes without confidences. The starting loss and every line-search
+    trial build the kernel's upper tiles exactly once; the accepted trial's cache (tiles and hinge
     gains) feeds the next gradient and is then dropped, so only one set of
     tiles is alive while later trials run. The ranking pairs are never
     listed: the Objective keeps each instance's confidence rank and counts
@@ -178,18 +175,10 @@ def fit(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
 
 
 def _descend(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
-    n0, n1 = data.class_counts()
-    if n0 < 2 or n1 < 2:
-        raise DegenerateClassError("training requires at least 2 instances per class")
-    if cfg.lambda2 > 0 and data.c is None:
-        raise MissingSupervisionError("lambda2 > 0 requires confidence labels")
-
+    objective = Objective(data, None, cfg.lambda1, cfg.lambda2)
     m = data.m
     m_prime = cfg.proj_dim if cfg.proj_dim is not None else m
     L = init_metric(m, m_prime, data, cfg.seed)
-
-    by_label = data.subset(np.argsort(data.y, kind="stable"))
-    objective = Objective(by_label, None, cfg.lambda1, cfg.lambda2)
 
     loss, cache = objective.value(L)
     if not np.isfinite(loss.total):

@@ -328,6 +328,14 @@ def probe_header_only(tmp_path, capsys):
             "--confidence", "confidence", "--out", str(tmp_path / "out.csv")]
 
 
+def probe_train_csv(text, tmp_path, capsys):
+    """train, with confidences, on a data.csv file holding text."""
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    return ["train", "--data", str(data), "--confidence", "confidence",
+            "--out", str(tmp_path / "m.json"), "--trace", str(tmp_path / "out.csv")]
+
+
 def probe_overflowing_feature(tmp_path, capsys):
     data = make_data(tmp_path, capsys)
     header, first, *rest = data.read_text().splitlines()
@@ -574,6 +582,9 @@ MALFORMED_INPUTS = {
        for command, flag in (("evaluate", "--confidence"), ("evaluate", "--features"),
                              ("evaluate", "--id-column"), ("predict", "--confidence"))},
     "predict-header-only": (probe_header_only, "validation"),
+    "train-header-only": (
+        functools.partial(probe_train_csv, "f0,label,confidence\n"), "validation",
+    ),
     "model-without-training-rows": (probe_model_without_rows, "validation"),
     **{f"{command}-deep-nesting": (functools.partial(probe_json_file, command, DEEP_JSON),
                                    "validation")
@@ -654,6 +665,21 @@ def test_cli_check_names_its_cause(tmp_path, capsys, probe, match):
     code, _, err = run(capsys, *probe(tmp_path, capsys))
     assert code == 1
     assert match in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("probe, error, message", [
+    (functools.partial(probe_train_csv, "f0,label,confidence\n"),
+     "validation", "{tmp_path}/data.csv: no data rows"),
+    (functools.partial(probe_train_csv,
+                       "f0,label,confidence\n0,0,0.9\n1,0,0.8\n2,0,0.7\n3,1,0.6\n"),
+     "degenerate-class", "each class needs at least 2 instances"),
+    (functools.partial(probe_train_flag, "--lambda2", "1"),
+     "missing-supervision", "lambda2 > 0 requires confidence labels"),
+], ids=["header-only", "single-positive", "lambda2-without-confidences"])
+def test_train_rejection_message(tmp_path, capsys, probe, error, message):
+    code, out, err = run(capsys, *probe(tmp_path, capsys))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": error, "message": message.format(tmp_path=tmp_path)}
 
 
 def test_saturating_synth_is_silent(tmp_path, capsys):

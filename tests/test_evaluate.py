@@ -9,6 +9,7 @@ from scipy.stats import rankdata
 from confmetric import evaluate
 from confmetric import (
     UndefinedMetricError,
+    ValidationError,
     auroc,
     feature_weight_stats,
     heatmap_matrix,
@@ -112,6 +113,11 @@ class TestMatrixDiagnostics:
         assert row_rank(L) == 1
         assert row_rank(np.eye(4)) == 4
         assert row_rank(np.zeros((2, 5))) == 0
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    def test_row_rank_rejects_a_tolerance_not_positive(self, tol):
+        with pytest.raises(ValidationError, match="tolerance must be positive"):
+            row_rank(np.eye(3), tol=tol)
 
     def test_n_zero_rows(self):
         L = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])

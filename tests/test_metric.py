@@ -401,6 +401,11 @@ class TestConfidenceScore:
         with pytest.raises(DimensionMismatchError, match="not both zero"):
             confidence_score(0.0, 0.0)
 
+    @pytest.mark.parametrize("s_y, s_not_y", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_raises(self, s_y, s_not_y):
+        with pytest.raises(DimensionMismatchError, match="must be nonnegative"):
+            confidence_score(s_y, s_not_y)
+
     def test_complementarity(self):
         rng = np.random.default_rng(4)
         for _ in range(1000):

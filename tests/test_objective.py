@@ -11,6 +11,7 @@ from confmetric import (
     MissingSupervisionError,
     RankingPairs,
     TrainConfig,
+    ValidationError,
     build_ranking_pairs,
     camel_cl_loss,
     camel_loss,
@@ -50,6 +51,11 @@ def random_dataset(rng, n=8, m=3, with_conf=True):
     return Dataset(X, y, c)
 
 
+def by_label(data):
+    """data with its rows stably sorted by label, the order Objective keeps."""
+    return data.subset(np.argsort(data.y, kind="stable"))
+
+
 def pair_subset(data, n_pairs, seed):
     """All ranking pairs of data, or a seeded subset of n_pairs of them."""
     full = build_ranking_pairs(data.y, data.c)
@@ -74,6 +80,15 @@ class TestBuildRankingPairs:
     def test_missing_confidences(self):
         with pytest.raises(MissingSupervisionError):
             build_ranking_pairs([0, 1], None)
+
+    @pytest.mark.parametrize("labels, confidences, match", [
+        ([0, 1, 1], [0.2, 0.9], "confidences must be a vector of length n"),
+        ([0, 2, 2], [0.2, 0.9, 0.4], "labels must be 0 or 1"),
+        ([1, 1, 0], [0.2, math.nan, 0.4], "confidences contain non-finite values"),
+    ], ids=["short-confidences", "label-2", "nan-confidence"])
+    def test_rejects_what_dataset_rejects(self, labels, confidences, match):
+        with pytest.raises(ValidationError, match=match):
+            build_ranking_pairs(labels, confidences)
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(0)
@@ -556,7 +571,7 @@ class TestUpperTiles:
     def test_ranking_matches_pair_formula(self, side):
         rng = np.random.default_rng(23)
         for n in self.SIZES:
-            data = random_dataset(rng, n=n)
+            data = by_label(random_dataset(rng, n=n))
             pairs = build_ranking_pairs(data.y, data.c)
             objective = Objective(data, pairs, 0.3, 1.5)
             for _ in range(3):
@@ -569,7 +584,7 @@ class TestUpperTiles:
     def test_cache_holds_only_upper_tiles(self, side):
         rng = np.random.default_rng(24)
         for n in self.SIZES:
-            data = random_dataset(rng, n=n)
+            data = by_label(random_dataset(rng, n=n))
             L = rng.normal(size=(2, 3))
             tiles = Objective(data, RankingPairs(), 0.3, 0.0).value(L)[1].tiles
             assert len(tiles) > 1
@@ -589,7 +604,7 @@ class TestUpperTiles:
         # small fits give the same numbers as the full-kernel formula
         rng = np.random.default_rng(25)
         for n in (4, 40, 256):
-            data = random_dataset(rng, n=n)
+            data = by_label(random_dataset(rng, n=n))
             L = rng.normal(size=(3, 3)) * 0.5
             (rows, cols, T), = Objective(data, RankingPairs(), 0.3, 0.0).value(L)[1].tiles
             K = seed_order_kernel(L, data.X)
@@ -598,22 +613,20 @@ class TestUpperTiles:
 
 
 class TestRowOrder:
-    """``fit`` hands Objective class-sorted rows, so each gradient product
-    meets one class's rows only; any other row order, with many label runs,
-    gives the same loss and gradient up to rounding."""
+    """Objective sorts its rows by label itself, so rows with many label runs
+    give the same loss and gradient, bit for bit, as the same rows sorted."""
 
     @staticmethod
     def assert_order_free(data, L):
-        order = np.argsort(data.y, kind="stable")
         assert np.count_nonzero(np.diff(data.y)) > 10
         for lambda2 in (0.0, 1.5):
             shuffled = Objective(data, None, 0.3, lambda2)
-            ordered = Objective(data.subset(order), None, 0.3, lambda2)
+            ordered = Objective(by_label(data), None, 0.3, lambda2)
             loss, cache = shuffled.value(L)
             ref_loss, ref_cache = ordered.value(L)
-            assert loss.total == pytest.approx(ref_loss.total, rel=1e-12, abs=0.0)
+            assert loss == ref_loss
             g, ref = shuffled.gradient(L, cache), ordered.gradient(L, ref_cache)
-            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.array_equal(g, ref)
 
     def test_class_smaller_than_one_tile(self):
         # 300 rows are two 256-row tiles a side; class 1 has 20 rows

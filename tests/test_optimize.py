@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -49,6 +50,10 @@ class TestSoftThreshold:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValidationError):
             soft_threshold(np.eye(2), -0.1)
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValidationError, match="threshold must be nonnegative"):
+            soft_threshold(np.eye(2), math.nan)
 
     def test_magnitudes_never_grow(self):
         rng = np.random.default_rng(0)
