@@ -239,19 +239,24 @@ def _read_fast(fh, header, features, label, confidence, id_column):
     col = {name: j for j, name in enumerate(header)}
     numeric = [*features, *([confidence] if confidence is not None else [])]
     text = [c for c in (label, id_column) if c is not None]
+    values = None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a header-only file has no data
-            values = np.loadtxt(fh, usecols=[col[c] for c in numeric],
-                                dtype=np.float64, **_LOADTXT)
+            if numeric or not text:  # with no numeric column the text cells count the rows
+                values = np.loadtxt(fh, usecols=[col[c] for c in numeric],
+                                    dtype=np.float64, **_LOADTXT)
             if text:
-                fh.seek(0)
-                next(csv.reader(fh))
+                if values is not None:
+                    fh.seek(0)
+                    next(csv.reader(fh))
                 # object cells keep the text as csv reads it, NUL characters included
                 cells = np.loadtxt(fh, usecols=[col[c] for c in text], dtype=object,
                                    **_LOADTXT)
     except ValueError:
         return None
+    if values is None:
+        values = np.empty((len(cells), 0))
     if not np.isfinite(values).all() or (text and len(cells) != len(values)):
         return None
     y = c = ids = None

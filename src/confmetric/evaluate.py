@@ -56,7 +56,7 @@ def _midranks(x) -> np.ndarray:
 def sparsity(L) -> float:
     """Fraction of entries exactly equal to 0.0."""
     L = np.asarray(L)
-    return float(np.mean(L == 0.0))
+    return float(np.count_nonzero(L == 0.0) / L.size)  # np.mean's value, bit for bit
 
 
 def row_rank(L, tol: float = 1e-8) -> int:

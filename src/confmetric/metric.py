@@ -30,6 +30,12 @@ tile is symmetric only to the last bit, as entries (i, j) and (j, i) add the
 two norms in opposite order.
 ``class_similarity`` works from row differences, apart from both builders.
 
+What depends on the training rows alone, ``objective.Objective`` builds once:
+the label-sorted rows, their one-hot labels and the gradient's constant
+columns ``[1 | X]``. The functions here get those as arguments and do only
+the arithmetic that depends on L, in as few numpy calls as they can: at
+n <= 160 the cost of each call, not its arithmetic, sets a fit's time.
+
 Underflow rule: ``exp(-d2)`` is 0.0 exactly for every ``d2 >= 746``, and
 fitting drives nearly every off-diagonal distance far past that. numpy's
 vectorized ``exp`` takes a slow path on each underflowing lane, so those
@@ -54,7 +60,7 @@ def _check_metric(L) -> np.ndarray:
     L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] < 1 or L.shape[1] < 1:
         raise DimensionMismatchError("metric parameter must be a 2-D matrix")
-    if not np.all(np.isfinite(L)):
+    if not np.isfinite(L).all():
         raise DimensionMismatchError("metric parameter contains non-finite entries")
     return L
 
@@ -93,7 +99,9 @@ _NORMAL_EDGE = math.log(np.finfo(np.float64).tiny)
 def _project(L, X, what: str):
     """Rows Z = X L^T of a checked L and their squared norms; what names X's
     rows in the dimension error."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        X = np.atleast_2d(X)
     if X.shape[1] != L.shape[1]:
         raise DimensionMismatchError(f"{what} dimension does not match metric columns")
     Z = X @ L.T
@@ -103,8 +111,15 @@ def _project(L, X, what: str):
 def _sides(Z, sq) -> tuple[np.ndarray, np.ndarray]:
     """[Z, sq, 1] and [2Z, -1, -sq] for rows Z of squared norms sq; one
     product of the two gives 2 w.z - |w|^2 - |z|^2 = -||w - z||^2."""
-    one = np.ones_like(sq)
-    return np.column_stack([Z, sq, one]), np.column_stack([2.0 * Z, -one, -sq])
+    n, k = Z.shape
+    left, right = np.empty((n, k + 2)), np.empty((n, k + 2))
+    left[:, :k] = Z
+    left[:, k] = sq
+    left[:, k + 1] = 1.0
+    np.multiply(Z, 2.0, out=right[:, :k])
+    right[:, k] = -1.0
+    np.negative(sq, out=right[:, k + 1])
+    return left, right
 
 
 def _block_height(cols: int) -> int:
@@ -118,17 +133,23 @@ def _kernel_values(G: np.ndarray) -> None:
 
     Whichever of the near and the far entries are fewer are indexed: a
     gather or scatter through an index beats a boolean mask on either side.
+    With no far entry, as early in a small fit, nothing is indexed.
     """
     far = G <= -_EXP_ZERO  # False for NaN, so NaN goes through np.exp
+    count = np.count_nonzero(far)
+    if not count:
+        np.minimum(G, 0.0, out=G)
+        np.exp(G, out=G)
+        return
     flat = G.ravel()
-    if 2 * np.count_nonzero(far) > far.size:
-        near = np.flatnonzero(np.logical_not(far, out=far))
+    if 2 * count > far.size:
+        near = np.logical_not(far, out=far).ravel().nonzero()[0]
         vals = np.minimum(flat[near], 0.0)
         np.exp(vals, out=vals)
         G.fill(0.0)
         flat[near] = vals
         return
-    far = np.flatnonzero(far)
+    far = far.ravel().nonzero()[0]
     np.minimum(G, 0.0, out=G)
     flat[far] = 0.0  # exp(0.0) = 1 is on np.exp's fast path
     np.exp(G, out=G)
@@ -162,7 +183,7 @@ def _upper_tiles(L, X, B) -> tuple[list[tuple[slice, slice, np.ndarray]], np.nda
             np.matmul(left[rows], right[cols].T, out=T)
             _kernel_values(T)
             if i == j:
-                np.fill_diagonal(T, 0.0)
+                T.ravel()[:: h + 1] = 0.0  # T is square and C-contiguous
             tiles.append((rows, cols, T))
             _tile_into(KB, rows, cols, T, B)
     return tiles, KB
@@ -236,12 +257,13 @@ def confidence_score(s_y: float, s_not_y: float) -> float:
     """Class confidence s_y / (s_y + s_not_y).
 
     Complementary: confidence_score(a, b) + confidence_score(b, a) == 1.
-    Two zero similarities carry no class evidence and raise, as negative
-    or NaN ones do.
+    Two zero similarities carry no class evidence and raise, as negative,
+    infinite or NaN ones do, and two whose sum overflows.
     """
     total = s_y + s_not_y
-    if not (s_y >= 0.0 and s_not_y >= 0.0 and total > 0.0):  # NaN fails too
-        raise DimensionMismatchError("similarity scores must be nonnegative, not both zero")
+    if not (s_y >= 0.0 and s_not_y >= 0.0 and 0.0 < total < math.inf):  # NaN fails too
+        raise DimensionMismatchError(
+            "similarity scores must be nonnegative and finite, not both zero")
     return s_y / total
 
 

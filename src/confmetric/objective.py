@@ -12,10 +12,14 @@ rows in any order and keeps them stably sorted by label: every term is a sum
 over instances or a mean over a class, so the order changes no value, any
 caller's order gives the same bits, and each gradient product meets one
 class's rows only. It checks that each class has two instances and, with the
-hinge on, that confidences are given. What depends only on the data (the
-one-hot labels, the class reference counts, the confidence ranks and the
-weights) is built once, when it is constructed; the class structure is kept
-at n x 2, so none of it is n x n.
+hinge on, that confidences are given. What depends only on the data is
+built once, when it is constructed: the one-hot labels, the class reference
+counts, the confidence ranks, the weights, the flat indices of each row's
+own-class and other-class scores (``_label_entries``), the hinge's float sort
+positions and the gradient's constant columns ``[1 | X]``. The class
+structure is kept at n x 2, so none of it is n x n. Each evaluation then does
+only the arithmetic that depends on L, and no method writes into an array
+that a later call reads, so a cache stays valid while other evaluations run.
 ``Objective.value(L)`` builds the kernel once, as its upper tiles (see
 ``metric._upper_tiles``), and returns the loss together with an
 ``ObjectiveCache`` holding those tiles and each instance's hinge gain: its
@@ -114,15 +118,15 @@ def _confidence_ranks(y: np.ndarray, c) -> np.ndarray:
     return np.unique(c, return_inverse=True)[1] + len(y) * y
 
 
-def _counted_hinge(marg: np.ndarray, y: np.ndarray, rank: np.ndarray
-                   ) -> tuple[float, np.ndarray]:
+def _counted_hinge(marg: np.ndarray, y: np.ndarray, rank: np.ndarray,
+                   positions: np.ndarray) -> tuple[float, np.ndarray]:
     """The hinge sum over every ranking pair, and each instance's gain, from
-    the ranks of ``_confidence_ranks`` without listing a pair.
+    the ranks of ``_confidence_ranks`` without listing a pair; ``positions``
+    is ``np.arange(n)`` as float64.
 
     The gain is the position by (class, margin, rank) minus the position by
     (class, rank, margin); see the module docstring.
     """
-    positions = np.arange(len(marg), dtype=np.float64)
     gain = np.empty(len(marg))
     gain[np.lexsort((rank, marg, y))] = positions
     gain[np.lexsort((marg, rank))] -= positions
@@ -138,13 +142,23 @@ def margin(L, data: Dataset, i: int) -> float:
     return float(S[i, yi] - S[i, 1 - yi])
 
 
-def _margins(S: np.ndarray, y: np.ndarray) -> np.ndarray:
-    idx = np.arange(S.shape[0])
-    return S[idx, y] - S[idx, 1 - y]
+def _label_entries(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (C-order) indices of each row's own-class and other-class entries
+    in an (n, 2) array."""
+    own = 2 * np.arange(len(y)) + y
+    return own, own + 1 - 2 * y
+
+
+def _margins(S: np.ndarray, own: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Own-class minus other-class score of each row of the (n, 2) scores S,
+    at the flat indices of ``_label_entries``."""
+    return S.take(own) - S.take(other)
 
 
 def _check_pairs(pairs: RankingPairs, n: int) -> np.ndarray:
-    p = pairs.pairs
+    p = np.asarray(pairs.pairs)
+    if p.ndim != 2 or p.shape[1] != 2 or not np.issubdtype(p.dtype, np.integer):
+        raise DimensionMismatchError("ranking pairs must be an integer array of shape (k, 2)")
     if len(p) and (p.min() < 0 or p.max() >= n):
         raise DimensionMismatchError("ranking pair index out of range")
     return p
@@ -156,7 +170,7 @@ def camel_loss(L, data: Dataset, lambda1: float) -> LossBreakdown:
     # Objective's row order, so that at lambda2 = 0 the two agree bit for bit
     data = data.subset(np.argsort(data.y, kind="stable"))
     S = similarity_scores(L, data)
-    pushpull = float(-np.sum(_margins(S, data.y)))
+    pushpull = float(-_margins(S, *_label_entries(data.y)).sum())
     l1 = float(lambda1 * np.abs(L).sum())
     return LossBreakdown(pushpull=pushpull, l1=l1, ranking=0.0)
 
@@ -197,6 +211,10 @@ class Objective:
         self.n0 = data.class_counts()[0]
         self.onehot, self.counts = _class_references(data)
         self.W = (2.0 * self.onehot - 1.0) / self.counts
+        # what depends on the rows only, for value and gradient to read
+        self._own, self._other = _label_entries(data.y)
+        self._positions = np.arange(data.n, dtype=np.float64)
+        self._ones_X = np.concatenate((np.ones((data.n, 1)), data.X), axis=1)  # [1 | X]
         self.pairs = None
         if pairs is not None:  # from the caller's row indices to the sorted ones
             self.pairs = np.argsort(order)[_check_pairs(pairs, data.n)]
@@ -214,8 +232,8 @@ class Objective:
         confidences.
         """
         tiles, KB = _upper_tiles(L, self.data.X, self.onehot)
-        marg = _margins(KB / self.counts, self.data.y)
-        pushpull = float(-np.sum(marg))
+        marg = _margins(KB / self.counts, self._own, self._other)
+        pushpull = float(-marg.sum())
         l1 = self._l1(L)
         ranking, gain = 0.0, None
         if self.lambda2 > 0:
@@ -243,7 +261,7 @@ class Objective:
     def _hinge(self, marg: np.ndarray) -> tuple[float, np.ndarray]:
         """The hinge sum at these margins and each instance's gain."""
         if self.rank is not None:
-            return _counted_hinge(marg, self.data.y, self.rank)
+            return _counted_hinge(marg, self.data.y, self.rank, self._positions)
         more, less = self.pairs.T
         args = marg[less] - marg[more]
         active = (args > 0.0).astype(np.float64)
@@ -272,16 +290,16 @@ class Objective:
         """
         L = _check_metric(L)
         X = self.data.X
-        n, m = X.shape
-        B = self.onehot
+        m = X.shape[1]
         # coefficient of each instance's margin in the smooth loss
-        coef = np.full(n, -1.0)
-        if cache.gain is not None:
-            coef += self.lambda2 * cache.gain
-        M = coef[:, None] * self.W
-        # (K (B_c [1 | X | M]))^T for each class c
-        KP = _class_products(cache.tiles, self.n0, np.vstack([np.ones(n), X.T, M.T]))
-        r = np.einsum("ic,ci->i", M, KP[:, 0]) + np.einsum("ik,cki->i", B, KP[:, -2:])
+        coef = -1.0 if cache.gain is None else (self.lambda2 * cache.gain - 1.0)[:, None]
+        M = coef * self.W
+        # (K (B_c [1 | X | M]))^T for each class c; [1 | X | M] is C-contiguous
+        # at every m, so the tile products always read its transpose one way
+        P = np.concatenate((self._ones_X, M), axis=1)
+        KP = _class_products(cache.tiles, self.n0, P.T)
+        r = (np.einsum("ic,ci->i", M, KP[:, 0])
+             + np.einsum("ik,cki->i", self.onehot, KP[:, -2:]))
         XAtX = sum(KP[c, 1 : 1 + m] @ (M[:, c, None] * X) for c in (0, 1))
         return -2.0 * L @ (X.T @ (r[:, None] * X) - XAtX.T - XAtX)
 

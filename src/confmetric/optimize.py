@@ -181,7 +181,7 @@ def _descend(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     L = init_metric(m, m_prime, data, cfg.seed)
 
     loss, cache = objective.value(L)
-    if not np.isfinite(loss.total):
+    if not math.isfinite(loss.total):
         raise NumericalFailureError("non-finite loss at initialization")
 
     eta = _ETA0
@@ -199,7 +199,7 @@ def _descend(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
                 continue
             loss_new, cache = objective.value(L_new)
             evals += 1
-            if not np.isfinite(loss_new.total):
+            if not math.isfinite(loss_new.total):
                 raise NumericalFailureError(f"non-finite loss at iteration {k + 1}")
             if loss_new.total <= loss.total:
                 break

@@ -245,7 +245,7 @@ class TestReadColumns:
     @given(text=csv_files(), label=st.sampled_from([None, "label"]),
            confidence=st.sampled_from([None, "confidence"]),
            id_column=st.sampled_from([None, "id"]),
-           features=st.sampled_from([["f0"], ["f1", "f0"], ["f0", "f1"]]))
+           features=st.sampled_from([[], ["f0"], ["f1", "f0"], ["f0", "f1"]]))
     def test_fast_path_equals_row_parser(self, tmp_path_factory, text, label,
                                          confidence, id_column, features):
         path = tmp_path_factory.getbasetemp() / "parity.csv"
@@ -282,6 +282,16 @@ class TestReadColumns:
         assert X.flags.c_contiguous
         assert (y.tolist(), c.tolist()) == ([1, 0], [0.25, 0.5])
         assert ids == ["a,b", 'say "hi"']
+
+    def test_label_only_read_parses_once(self, tmp_path):
+        # evaluate reads only the labels: the text cells alone give the rows
+        p = tmp_path / "data.csv"
+        p.write_text("f0,label\n1.5,1\n\n2,0\n")
+        with mock.patch.object(data_io.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            X, y, c, ids = data_io.read_columns(p, [], "label")
+        assert loadtxt.call_count == 1
+        assert X.shape == (2, 0) and y.tolist() == [1, 0]
+        assert c is None and ids is None
 
 
 class TestRoundTrip:

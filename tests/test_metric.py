@@ -406,6 +406,14 @@ class TestConfidenceScore:
         with pytest.raises(DimensionMismatchError, match="must be nonnegative"):
             confidence_score(s_y, s_not_y)
 
+    @pytest.mark.parametrize("s_y, s_not_y", [
+        (math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf), (1e308, 1e308),
+    ])
+    def test_infinite_raises(self, s_y, s_not_y):
+        # inf / (inf + 1) is NaN and 1 / (1 + inf) is 0: neither is a confidence
+        with pytest.raises(DimensionMismatchError, match="finite"):
+            confidence_score(s_y, s_not_y)
+
     def test_complementarity(self):
         rng = np.random.default_rng(4)
         for _ in range(1000):

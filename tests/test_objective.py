@@ -146,7 +146,8 @@ class TestCountedHinge:
             c = (rng.choice([0.0, 0.2, 0.5, 1.0], size=n) if draw < 2
                  else rng.uniform(size=n))
             marg = MARGIN_KINDS[kind](rng, n)
-            hinge, gain = _counted_hinge(marg, y, _confidence_ranks(y, c))
+            hinge, gain = _counted_hinge(marg, y, _confidence_ranks(y, c),
+                                         np.arange(n, dtype=np.float64))
             ref_hinge, ref_gain = pair_oracle(y, c, marg)
             assert np.array_equal(gain, ref_gain)
             assert abs(hinge - ref_hinge) <= 1e-12 * ref_hinge
@@ -157,7 +158,8 @@ class TestCountedHinge:
     def test_signed_zero_confidences_tie(self):
         y = np.array([1, 1])
         _, gain = _counted_hinge(np.array([0.0, 1.0]), y,
-                                 _confidence_ranks(y, np.array([0.0, -0.0])))
+                                 _confidence_ranks(y, np.array([0.0, -0.0])),
+                                 np.arange(2.0))
         assert not gain.any()
 
     @pytest.mark.parametrize("scale", [0.6, 20.0])
@@ -298,6 +300,17 @@ class TestCamelClLoss:
         cfg = TrainConfig(lambda1=0.0, lambda2=1.0)
         with pytest.raises(DimensionMismatchError):
             camel_cl_loss(np.eye(3), data, cfg, RankingPairs(np.array([[0, 99]])))
+
+    @pytest.mark.parametrize("pairs", [
+        np.array([[0.0, 1.0]]),  # float indices
+        np.array([0, 1]),  # one pair, but 1-D
+        np.array([[0, 1, 2]]),  # three columns
+    ])
+    def test_pairs_not_integer_k_by_2(self, pairs):
+        data = random_dataset(np.random.default_rng(8))
+        cfg = TrainConfig(lambda1=0.0, lambda2=1.0)
+        with pytest.raises(DimensionMismatchError, match="shape"):
+            camel_cl_loss(np.eye(3), data, cfg, RankingPairs(pairs))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)
@@ -527,6 +540,28 @@ class TestObjective:
                 assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
                 cfg = TrainConfig(lambda1=0.3, lambda2=lambda2)
                 assert np.array_equal(g, smooth_gradient(L, data, cfg, pairs))
+
+    @pytest.mark.parametrize("n", [20, 600])  # 600 rows: three tile rows
+    def test_no_evaluation_corrupts_an_earlier_one(self, n):
+        """A cache stays valid while later calls run, on the same Objective
+        and on another one; bit for bit, -0.0 included."""
+        rng = np.random.default_rng(n)
+        objectives = [Objective(random_dataset(rng, n=n), None, 0.3, 1.5)
+                      for _ in range(2)]
+        L1, L2 = rng.normal(size=(2, 3, 3)) * 0.5
+
+        def fresh(objective, L):
+            loss, cache = objective.value(L)
+            return loss, objective.gradient(L, cache).tobytes()
+
+        expected = [fresh(objective, L1) for objective in objectives]
+        # interleaved: a, b at L1, then a, b at L2
+        caches = [objective.value(L1) for objective in objectives]
+        for objective in objectives:
+            objective.value(L2)
+        for objective, (loss, cache), want in zip(objectives, caches, expected):
+            assert (loss, objective.gradient(L1, cache).tobytes()) == want
+            assert fresh(objective, L1) == want
 
 
 class TestUpperTiles:
