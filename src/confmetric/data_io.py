@@ -196,6 +196,9 @@ class SynthConfig:
             raise ValidationError("n * m is too large for a numpy array")
         if not 0.0 < self.class_balance < 1.0:
             raise ValidationError("class_balance must lie in (0, 1)")
+        n1 = round(self.n * self.class_balance)
+        if min(n1, self.n - n1) < 2:
+            raise ValidationError("class balance leaves fewer than 2 instances in a class")
         if min(self.seed, self.cluster_separation, self.confidence_noise) < 0:
             raise ValidationError(
                 "seed, cluster_separation and confidence_noise must be nonnegative")
@@ -356,9 +359,6 @@ def synth_generate(cfg: SynthConfig) -> tuple[Dataset, np.ndarray]:
     """
     rng = np.random.default_rng([cfg.seed, _SYNTH_STREAM])
     n1 = round(cfg.n * cfg.class_balance)
-    n0 = cfg.n - n1
-    if n0 < 2 or n1 < 2:
-        raise ValidationError("class balance leaves fewer than 2 instances in a class")
     y = np.zeros(cfg.n, dtype=np.int64)
     y[rng.permutation(cfg.n)[:n1]] = 1
 

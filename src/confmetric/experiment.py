@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ValidationError("lambda2 grid must be nonempty for camel_cl")
         if (self.synth is None) == (self.csv_path is None):
             raise ValidationError("exactly one data source (synth or csv) is required")
+        if (self.csv_schema is None) != (self.csv_path is None):
+            raise ValidationError("csv_schema is required exactly when csv_path is given")
         if self.csv_path is not None and not isinstance(self.csv_path, str):
             raise ValidationError("the csv path must be a string")
         # TrainConfig checks max_iters, proj_dim, seed and every grid cell, used or not

@@ -23,18 +23,18 @@ diagonal (``isqrt(_BLOCK_BYTES / 8)`` = 256 rows a side), packed into one
 buffer. Each tile gets its own product, the same elementwise rule and a
 zeroed diagonal, and gives its share of the class sums (``K_ij B_j`` and
 ``K_ij^T B_i``) while it is in cache; ``similarity_scores`` and the
-objective read those sums, and the gradient takes its products with K from
-the same tiles, over each class's span of the objective's label-sorted rows
-(``_class_products``), so fitting never forms an n x n array. A diagonal
-tile is symmetric only to the last bit, as entries (i, j) and (j, i) add the
-two norms in opposite order.
+objective read those sums, and the gradient reads them from the objective's
+cache and its other products with K from the same tiles, over each class's
+span of the objective's label-sorted rows (``_class_products``), so fitting
+never forms an n x n array. A diagonal tile is symmetric only to the last
+bit, as entries (i, j) and (j, i) add the two norms in opposite order.
 ``class_similarity`` works from row differences, apart from both builders.
 
 What depends on the training rows alone, ``objective.Objective`` builds once:
-the label-sorted rows, their one-hot labels and the gradient's constant
-columns ``[1 | X]``. The functions here get those as arguments and do only
-the arithmetic that depends on L, in as few numpy calls as they can: at
-n <= 160 the cost of each call, not its arithmetic, sets a fit's time.
+the label-sorted rows and their one-hot labels. ``_upper_tiles`` gets those,
+and an L its caller checked, as arguments and does only the arithmetic that
+depends on L, in as few numpy calls as it can: at n <= 160 the cost of each
+call, not its arithmetic, sets a fit's time.
 
 Underflow rule: ``exp(-d2)`` is 0.0 exactly for every ``d2 >= 746``, and
 fitting drives nearly every off-diagonal distance far past that. numpy's
@@ -157,8 +157,8 @@ def _kernel_values(G: np.ndarray) -> None:
 
 
 def _upper_tiles(L, X, B) -> tuple[list[tuple[slice, slice, np.ndarray]], np.ndarray]:
-    """The Gaussian kernel K over X's rows, zero diagonal, as its upper tiles,
-    and K @ B.
+    """The Gaussian kernel K over X's rows at a checked L, zero diagonal, as
+    its upper tiles, and K @ B.
 
     Returns (rows, cols, K[rows, cols]) for every tile at or above the
     diagonal, in row-major order, carved from one packed buffer. Each tile
@@ -166,7 +166,7 @@ def _upper_tiles(L, X, B) -> tuple[list[tuple[slice, slice, np.ndarray]], np.nda
     ``_sides``, ``_kernel_values``, and its share of K @ B. The tiles hold
     (n^2 + n * side) / 2 floats at most.
     """
-    left, right = _sides(*_project(_check_metric(L), X, "feature"))
+    left, right = _sides(*_project(L, X, "feature"))
     n, side = left.shape[0], math.isqrt(_BLOCK_BYTES // 8)
     edge = n % side  # the last tile row's height, when it is partial
     # the tiles over i <= j hold (n^2 + sum of squared tile heights) / 2 floats
@@ -225,7 +225,7 @@ def similarity_scores(L, data: Dataset) -> np.ndarray:
     Raises DegenerateClassError if a class has fewer than 2 instances.
     """
     onehot, counts = _class_references(data)
-    return _upper_tiles(L, data.X, onehot)[1] / counts
+    return _upper_tiles(_check_metric(L), data.X, onehot)[1] / counts
 
 
 def _class_references(data: Dataset) -> tuple[np.ndarray, np.ndarray]:

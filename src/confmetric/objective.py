@@ -15,23 +15,23 @@ class's rows only. It checks that each class has two instances and, with the
 hinge on, that confidences are given. What depends only on the data is
 built once, when it is constructed: the one-hot labels, the class reference
 counts, the confidence ranks, the weights, the flat indices of each row's
-own-class and other-class scores (``_label_entries``), the hinge's float sort
-positions and the gradient's constant columns ``[1 | X]``. The class
-structure is kept at n x 2, so none of it is n x n. Each evaluation then does
-only the arithmetic that depends on L, and no method writes into an array
-that a later call reads, so a cache stays valid while other evaluations run.
-``Objective.value(L)`` builds the kernel once, as its upper tiles (see
-``metric._upper_tiles``), and returns the loss together with an
-``ObjectiveCache`` holding those tiles and each instance's hinge gain: its
+own-class and other-class scores (``_label_entries``) and the hinge's float
+sort positions. The class structure is kept at n x 2, so none of it is
+n x n. Each evaluation then does only the arithmetic that depends on L, and
+no method writes into an array that a later call reads, so a cache stays
+valid while other evaluations run.
+``Objective.value(L)`` checks L, builds the kernel once, as its upper tiles
+(see ``metric._upper_tiles``), and returns the loss together with an
+``ObjectiveCache``: the whole evaluation at that L, namely the checked L,
+the tiles, the kernel's class sums K B and each instance's hinge gain (its
 active pairs as the less confident member minus those as the more confident
-one. ``Objective.gradient(L, cache)`` reuses both, so the loss and the
+one). ``Objective.gradient(cache)`` reads nothing else, so the loss and the
 gradient at one L share a single kernel and a single hinge evaluation, and
 no n x n array is ever formed. ``Objective.floor(L)`` bounds the total
 from below without building a kernel, which lets the line search reject a
-trial whose L1 term alone already loses. ``camel_cl_loss`` and
-``smooth_gradient`` are one-shot wrappers over it. ``camel_loss`` computes
-the base loss on its own, through ``similarity_scores``, and is the
-reference the ranking variant must equal exactly when lambda2 is 0.
+trial whose L1 term alone already loses. ``camel_loss``, ``camel_cl_loss``
+and ``smooth_gradient`` are one-shot wrappers over it; ``camel_loss`` is
+the ranking variant at lambda2 = 0.
 
 The hinge never lists its pairs when fitting. Order a class once by
 (margin, confidence) and once by (confidence, margin): an instance's
@@ -164,24 +164,15 @@ def _check_pairs(pairs: RankingPairs, n: int) -> np.ndarray:
     return p
 
 
-def camel_loss(L, data: Dataset, lambda1: float) -> LossBreakdown:
-    """Push/pull class-label loss plus element-wise L1 penalty."""
-    L = _check_metric(L)
-    # Objective's row order, so that at lambda2 = 0 the two agree bit for bit
-    data = data.subset(np.argsort(data.y, kind="stable"))
-    S = similarity_scores(L, data)
-    pushpull = float(-_margins(S, *_label_entries(data.y)).sum())
-    l1 = float(lambda1 * np.abs(L).sum())
-    return LossBreakdown(pushpull=pushpull, l1=l1, ranking=0.0)
-
-
 @dataclass(frozen=True)
 class ObjectiveCache:
     """What ``Objective.value`` computed at one L, for ``gradient`` at that L."""
 
+    L: np.ndarray  # the checked metric
     # (rows, cols, K[rows, cols]) for the training kernel's tiles at or
     # above the diagonal; the diagonal is 0
     tiles: list[tuple[slice, slice, np.ndarray]]
+    KB: np.ndarray  # (n, 2) the kernel's class sums K @ B
     # (n,) per instance, its active hinge pairs as the less confident member
     # minus those as the more confident one; None with the term off
     gain: np.ndarray | None
@@ -214,7 +205,6 @@ class Objective:
         # what depends on the rows only, for value and gradient to read
         self._own, self._other = _label_entries(data.y)
         self._positions = np.arange(data.n, dtype=np.float64)
-        self._ones_X = np.concatenate((np.ones((data.n, 1)), data.X), axis=1)  # [1 | X]
         self.pairs = None
         if pairs is not None:  # from the caller's row indices to the sorted ones
             self.pairs = np.argsort(order)[_check_pairs(pairs, data.n)]
@@ -231,6 +221,7 @@ class Objective:
         a's, i.e. when the model orders the two against the labeler's
         confidences.
         """
+        L = _check_metric(L)
         tiles, KB = _upper_tiles(L, self.data.X, self.onehot)
         marg = _margins(KB / self.counts, self._own, self._other)
         pushpull = float(-marg.sum())
@@ -240,7 +231,7 @@ class Objective:
             hinge, gain = self._hinge(marg)
             ranking = float(self.lambda2 * hinge)
         loss = LossBreakdown(pushpull=pushpull, l1=l1, ranking=ranking)
-        return loss, ObjectiveCache(tiles=tiles, gain=gain)
+        return loss, ObjectiveCache(L=L, tiles=tiles, KB=KB, gain=gain)
 
     def floor(self, L) -> float:
         """A lower bound of ``value(L)[0].total`` that builds no kernel.
@@ -270,38 +261,43 @@ class Objective:
                 - np.bincount(more, weights=active, minlength=n))
         return np.maximum(0.0, args, out=args).sum(), gain
 
-    def gradient(self, L, cache: ObjectiveCache) -> np.ndarray:
-        """Gradient of the smooth loss terms (push/pull + ranking) in L.
+    def gradient(self, cache: ObjectiveCache) -> np.ndarray:
+        """Gradient of the smooth loss terms (push/pull + ranking) at the L
+        that ``value`` returned ``cache`` for.
 
-        ``cache`` must be what ``value`` returned for this same L; its
-        kernel tiles (zero diagonal) and hinge gains are read, not
-        recomputed. The L1 term is excluded; the proximal step owns it.
+        The cache's L, kernel tiles (zero diagonal), class sums and hinge
+        gains are read, not recomputed. The L1 term is excluded; the
+        proximal step owns it.
         Derivation: each kernel value k = exp(-||L d||^2) contributes
         dk/dL = -2 k L d d^T, and the smooth loss is sum_ij K_ij (M B^T)_ij
         with M = diag(coef) W, so the gradient is
         -2 L (X^T diag(r) X - X^T A X - X^T A^T X) for A = K * (M B^T),
         never formed: r = rowsum(M * (K B)) + rowsum(B * (K M)) and
-        X^T A X = sum_c (M_c * X)^T K (B_c * X). All four products with K
-        come from K (B_c [1 | X | M]) for c = 0, 1, taken tile by tile over
-        the tile's share of class c's span of the sorted rows, so no row that
-        B_c zeroes is multiplied.
+        X^T A X = sum_c (M_c * X)^T K (B_c * X). K B is the cache's; the
+        other products with K come from K (B_c [X | M]) for c = 0, 1, taken
+        tile by tile over the tile's share of class c's span of the sorted
+        rows, so no row that B_c zeroes is multiplied.
         With a unit diagonal the self terms would cancel only in exact
         arithmetic, which fails at a near-identity kernel.
         """
-        L = _check_metric(L)
         X = self.data.X
         m = X.shape[1]
         # coefficient of each instance's margin in the smooth loss
         coef = -1.0 if cache.gain is None else (self.lambda2 * cache.gain - 1.0)[:, None]
         M = coef * self.W
-        # (K (B_c [1 | X | M]))^T for each class c; [1 | X | M] is C-contiguous
-        # at every m, so the tile products always read its transpose one way
-        P = np.concatenate((self._ones_X, M), axis=1)
+        # (K (B_c [X | M]))^T for each class c; [X | M] is C-contiguous at
+        # every m, so the tile products always read its transpose one way
+        P = np.concatenate((X, M), axis=1)
         KP = _class_products(cache.tiles, self.n0, P.T)
-        r = (np.einsum("ic,ci->i", M, KP[:, 0])
+        r = (np.einsum("ic,ic->i", M, cache.KB)
              + np.einsum("ik,cki->i", self.onehot, KP[:, -2:]))
-        XAtX = sum(KP[c, 1 : 1 + m] @ (M[:, c, None] * X) for c in (0, 1))
-        return -2.0 * L @ (X.T @ (r[:, None] * X) - XAtX.T - XAtX)
+        XAtX = sum(KP[c, :m] @ (M[:, c, None] * X) for c in (0, 1))
+        return -2.0 * cache.L @ (X.T @ (r[:, None] * X) - XAtX.T - XAtX)
+
+
+def camel_loss(L, data: Dataset, lambda1: float) -> LossBreakdown:
+    """Push/pull class-label loss plus element-wise L1 penalty."""
+    return Objective(data, None, lambda1, 0.0).value(L)[0]
 
 
 def camel_cl_loss(
@@ -319,4 +315,4 @@ def smooth_gradient(
 ) -> np.ndarray:
     """Gradient of the smooth loss terms (push/pull + ranking) in L."""
     objective = Objective(data, pairs, cfg.lambda1, cfg.lambda2)
-    return objective.gradient(L, objective.value(L)[1])
+    return objective.gradient(objective.value(L)[1])

@@ -111,27 +111,28 @@ def soft_threshold(M, t: float) -> np.ndarray:
     return np.sign(M) * np.maximum(np.abs(M) - t, 0.0)
 
 
-def init_metric(m: int, m_prime: int, data: Dataset, seed: int) -> np.ndarray:
+def init_metric(m_prime: int, data: Dataset, seed: int) -> np.ndarray:
     """Initial L: the m' x m identity pattern, scaled from the data.
 
     The initial scale doubles as the initial kernel bandwidth, so
-    ``np.eye(m_prime, m)`` is rescaled so the median projected squared
+    ``np.eye(m_prime, data.m)`` is rescaled so the median projected squared
     distance over up to 1000 seeded random training pairs equals 1. A
     median of exactly 0 (duplicate-only data) gives no scale to take, so the
     pattern keeps unit scale; that is a valid start, not a fault, and is
     returned without a warning.
     """
-    if m < 1 or m_prime < 1:
+    if m_prime < 1:
         raise ValidationError("matrix dimensions must be positive")
-    if not _array_fits(m_prime, m):
+    if not _array_fits(m_prime, data.m):
         raise ValidationError("proj_dim * m is too large for a numpy array")
     rng = np.random.default_rng([seed, _INIT_STREAM])
-    base = np.eye(m_prime, m)
+    base = np.eye(m_prime, data.m)
     n_pairs = min(1000, data.n * (data.n - 1))
     i = rng.integers(0, data.n, size=n_pairs)
     j = rng.integers(0, data.n - 1, size=n_pairs)
     j[j >= i] += 1  # uniform over j != i
-    deltas = (data.X[i] - data.X[j]) @ base.T
+    # base keeps a difference's first m' features and pads it with zeros
+    deltas = (data.X[i] - data.X[j])[:, :m_prime]
     med = float(np.median(np.einsum("ij,ij->i", deltas, deltas)))
     return base / np.sqrt(med) if med > 0.0 else base
 
@@ -176,9 +177,8 @@ def fit(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
 
 def _descend(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     objective = Objective(data, None, cfg.lambda1, cfg.lambda2)
-    m = data.m
-    m_prime = cfg.proj_dim if cfg.proj_dim is not None else m
-    L = init_metric(m, m_prime, data, cfg.seed)
+    m_prime = cfg.proj_dim if cfg.proj_dim is not None else data.m
+    L = init_metric(m_prime, data, cfg.seed)
 
     loss, cache = objective.value(L)
     if not math.isfinite(loss.total):
@@ -189,7 +189,7 @@ def _descend(data: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     trace.append(loss, eta, L, loss_evals=1)
 
     for k in range(cfg.max_iters):
-        g = objective.gradient(L, cache)
+        g = objective.gradient(cache)
         cache = None  # free these tiles before the trials build theirs
         evals = 0
         while eta >= _MIN_STEP:

@@ -14,6 +14,7 @@ import pytest
 
 import confmetric
 from confmetric import (
+    DatasetSchema,
     ExperimentConfig,
     ModelFile,
     ResultRecord,
@@ -928,6 +929,30 @@ class TestExperiment:
         edit(raw)
         with pytest.raises(ValidationError, match=match):
             ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("sources", [
+        {"csv_path": "x.csv"},
+        {"synth": SynthConfig(n=40, m=2, m_informative=1),
+         "csv_schema": DatasetSchema(feature_columns=["f0"], label_column="label")},
+    ], ids=["path-without-schema", "schema-beside-synth"])
+    def test_csv_schema_given_exactly_with_csv_path(self, sources):
+        with pytest.raises(ValidationError, match="csv_schema is required exactly when"):
+            ExperimentConfig(trials=1, train_sizes=[10], lambda1_grid=[1.0],
+                             lambda2_grid=[], methods=["camel"], **sources)
+
+    def test_small_class_generator_rejected_when_read(self, tmp_path, capsys):
+        cfg = experiment_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["data"]["synth"]["class_balance"] = 0.01
+        with pytest.raises(ValidationError, match="fewer than 2 instances in a class"):
+            ExperimentConfig.from_dict(raw)
+        cfg.write_text(json.dumps(raw))
+        results = tmp_path / "results.csv"
+        code, out, err = run(capsys, "experiment", "--config", str(cfg), "--out",
+                             str(results), "--summary", str(tmp_path / "summary.csv"))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "validation"
+        assert not results.exists()
 
     def test_integer_grid_cells_written_as_floats(self, tmp_path, capsys):
         cfg = experiment_config(tmp_path, trials=1, train_sizes=[20],

@@ -377,6 +377,16 @@ class TestSynthGenerate:
         with pytest.raises(ValidationError):
             synth_generate(SynthConfig(n=10, m=2, m_informative=1, class_balance=0.05))
 
+    @pytest.mark.parametrize("n, class_balance", [(4, 0.1), (4, 0.9), (10, 0.05), (40, 0.97)])
+    def test_class_size_checked_when_constructed(self, n, class_balance):
+        # rejected by the config itself, before any data is generated
+        with pytest.raises(ValidationError, match="fewer than 2 instances in a class"):
+            SynthConfig(n=n, m=2, m_informative=1, class_balance=class_balance)
+
+    def test_smallest_classes_allowed(self):
+        data, _ = synth_generate(SynthConfig(n=4, m=2, m_informative=1, class_balance=0.5))
+        assert data.class_counts() == (2, 2)
+
     def test_from_dict(self):
         raw = {"n": 20, "m": 3, "m_informative": 1, "seed": 2}
         assert config_from_dict(SynthConfig, raw, "synth config") == SynthConfig(

@@ -179,8 +179,7 @@ class TestCountedHinge:
                 assert np.array_equal(cache.gain, ref_cache.gain)
                 assert abs(loss.ranking - ref_loss.ranking) <= 1e-12 * ref_loss.ranking
                 assert (loss.pushpull, loss.l1) == (ref_loss.pushpull, ref_loss.l1)
-                assert np.array_equal(counted.gradient(L, cache),
-                                      listed.gradient(L, ref_cache))
+                assert np.array_equal(counted.gradient(cache), listed.gradient(ref_cache))
 
     def test_fit_objective_needs_confidences(self):
         data = random_dataset(np.random.default_rng(27), with_conf=False)
@@ -418,7 +417,7 @@ def test_gradient_matches_finite_differences_property(n, m, m_prime, lambda2, lo
     pairs = build_ranking_pairs(data.y, data.c) if lambda2 > 0 else RankingPairs()
     assume(not hinge_near_kink(L, data, pairs))
     objective = Objective(data, pairs if listed else None, 0.3, lambda2)
-    g = objective.gradient(L, objective.value(L)[1])
+    g = objective.gradient(objective.value(L)[1])
     fd = finite_difference(L, data, TrainConfig(lambda1=0.3, lambda2=lambda2), pairs)
     assert np.abs(g - fd).max() <= 1e-5 * max(np.abs(fd).max(), 1e-12)
 
@@ -535,7 +534,7 @@ class TestObjective:
             objective = Objective(data, pairs, 0.3, lambda2)
             for _ in range(3):
                 L = rng.normal(size=(int(rng.integers(1, 4)), 3)) * scale
-                g = objective.gradient(L, objective.value(L)[1])
+                g = objective.gradient(objective.value(L)[1])
                 ref = dense_gradient(L, data, lambda2, pairs)
                 assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
                 cfg = TrainConfig(lambda1=0.3, lambda2=lambda2)
@@ -552,7 +551,7 @@ class TestObjective:
 
         def fresh(objective, L):
             loss, cache = objective.value(L)
-            return loss, objective.gradient(L, cache).tobytes()
+            return loss, objective.gradient(cache).tobytes()
 
         expected = [fresh(objective, L1) for objective in objectives]
         # interleaved: a, b at L1, then a, b at L2
@@ -560,7 +559,7 @@ class TestObjective:
         for objective in objectives:
             objective.value(L2)
         for objective, (loss, cache), want in zip(objectives, caches, expected):
-            assert (loss, objective.gradient(L1, cache).tobytes()) == want
+            assert (loss, objective.gradient(cache).tobytes()) == want
             assert fresh(objective, L1) == want
 
 
@@ -599,7 +598,7 @@ class TestUpperTiles:
             objective = Objective(data, pairs, 0.3, lambda2)
             for _ in range(3):
                 L = rng.normal(size=(int(rng.integers(1, 4)), 3)) * 0.6
-                g = objective.gradient(L, objective.value(L)[1])
+                g = objective.gradient(objective.value(L)[1])
                 ref = dense_gradient(L, data, lambda2, pairs)
                 assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -660,7 +659,7 @@ class TestRowOrder:
             loss, cache = shuffled.value(L)
             ref_loss, ref_cache = ordered.value(L)
             assert loss == ref_loss
-            g, ref = shuffled.gradient(L, cache), ordered.gradient(L, ref_cache)
+            g, ref = shuffled.gradient(cache), ordered.gradient(ref_cache)
             assert np.array_equal(g, ref)
 
     def test_class_smaller_than_one_tile(self):

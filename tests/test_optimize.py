@@ -67,12 +67,12 @@ class TestInitMetric:
     def test_two_point_unit_median_gives_identity(self):
         # single pair at distance 1 -> median squared distance already 1
         data = Dataset(np.array([[0.0], [1.0]]), [0, 1])
-        L = init_metric(1, 1, data, seed=0)
+        L = init_metric(1, data, seed=0)
         assert L.tolist() == [[1.0]]
 
     def test_identity_pattern(self):
         data = small_dataset()
-        L = init_metric(5, 3, data, seed=1)
+        L = init_metric(3, data, seed=1)
         assert L.shape == (3, 5)
         scale = L[0, 0]
         assert scale > 0
@@ -82,8 +82,8 @@ class TestInitMetric:
         # scaling the data by 10 scales the init by exactly 1/10
         data = small_dataset(seed=2)
         scaled = Dataset(data.X * 10.0, data.y, data.c)
-        L1 = init_metric(5, 5, data, seed=3)
-        L2 = init_metric(5, 5, scaled, seed=3)
+        L1 = init_metric(5, data, seed=3)
+        L2 = init_metric(5, scaled, seed=3)
         assert np.allclose(L2 * 10.0, L1, rtol=1e-12)
 
     def test_duplicate_only_data_uses_unit_scale_silently(self):
@@ -91,13 +91,13 @@ class TestInitMetric:
         data = Dataset(X, [0, 0, 0, 1, 1, 1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            L = init_metric(2, 2, data, seed=0)
+            L = init_metric(2, data, seed=0)
         assert np.array_equal(L, np.eye(2))
 
     def test_bad_dimensions(self):
         data = small_dataset()
         with pytest.raises(ValidationError):
-            init_metric(0, 2, data, seed=0)
+            init_metric(0, data, seed=0)
 
 
 class TestFit:
