@@ -330,19 +330,18 @@ def load_csv(path, schema: DatasetSchema) -> tuple[Dataset, list[str] | None]:
     return Dataset(X, y, c), ids
 
 
-def save_csv(path, data: Dataset, schema: DatasetSchema | None = None) -> DatasetSchema:
+def save_csv(path, data: Dataset) -> DatasetSchema:
     """Write a dataset to CSV with round-trip-exact float formatting."""
-    if schema is None:
-        schema = DatasetSchema(
-            feature_columns=[f"f{j}" for j in range(data.m)],
-            label_column="label",
-            confidence_column="confidence" if data.c is not None else None,
-        )
+    schema = DatasetSchema(
+        feature_columns=[f"f{j}" for j in range(data.m)],
+        label_column="label",
+        confidence_column="confidence" if data.c is not None else None,
+    )
     header = [*schema.feature_columns, schema.label_column]
     tail = [data.y.tolist()]
-    if schema.confidence_column is not None:
+    if data.c is not None:
         header.append(schema.confidence_column)
-        tail.append(data.c.tolist() if data.c is not None else [None] * data.n)
+        tail.append(data.c.tolist())
     write_csv(path, header, (x.tolist() + list(t) for x, t in zip(data.X, zip(*tail))))
     return schema
 

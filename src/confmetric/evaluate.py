@@ -59,19 +59,17 @@ def sparsity(L) -> float:
     return float(np.count_nonzero(L == 0.0) / L.size)  # np.mean's value, bit for bit
 
 
-def row_rank(L, tol: float = 1e-8) -> int:
+def row_rank(L) -> int:
     """Number of linearly independent rows.
 
-    Counts singular values above tol relative to the largest one; the zero
+    Counts singular values above 1e-8 relative to the largest one; the zero
     matrix has rank 0.
     """
-    if not tol > 0:  # NaN fails too
-        raise ValidationError("tolerance must be positive")
     L = np.asarray(L, dtype=np.float64)
     if not L.any():
         return 0
     s = np.linalg.svd(L, compute_uv=False)
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > 1e-8 * s[0]))
 
 
 def n_zero_rows(L) -> int:

@@ -11,6 +11,8 @@ a row whose kernel values would all underflow is taken relative to its
 nearest reference, which leaves its ratio s1 / (s0 + s1) unchanged.
 
 There are two kernel builders, one per job, and neither forms a full kernel.
+Both project through ``_project``, which skips L's all-zero rows: each adds
+exactly 0 to every distance, so L and L less those rows give the same bits.
 Both take -d2 from one product of the two ``_sides`` arrays, then clip it
 at 0 and take ``exp`` in place (``_kernel_values``), with no d2 array.
 ``positive_scores`` projects the queries and takes that product in row blocks
@@ -28,7 +30,7 @@ cache and its other products with K from the same tiles, over each class's
 span of the objective's label-sorted rows (``_class_products``), so fitting
 never forms an n x n array. A diagonal tile is symmetric only to the last
 bit, as entries (i, j) and (j, i) add the two norms in opposite order.
-``class_similarity`` works from row differences, apart from both builders.
+``class_similarity`` projects row differences through ``_project`` too.
 
 What depends on the training rows alone, ``objective.Objective`` builds once:
 the label-sorted rows and their one-hot labels. ``_upper_tiles`` gets those,
@@ -97,14 +99,13 @@ _NORMAL_EDGE = math.log(np.finfo(np.float64).tiny)
 
 
 def _project(L, X, what: str):
-    """Rows Z = X L^T of a checked L and their squared norms; what names X's
-    rows in the dimension error."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        X = np.atleast_2d(X)
+    """Rows Z = X L^T of a checked L's rows that are not all zero, and their
+    squared norms; X is 2-D float64, and what names its rows in the dimension
+    error. An all-zero row adds exactly 0 to every distance, and this is the
+    one place that skips it."""
     if X.shape[1] != L.shape[1]:
         raise DimensionMismatchError(f"{what} dimension does not match metric columns")
-    Z = X @ L.T
+    Z = X @ L.compress(L.any(axis=1), axis=0).T
     return Z, np.einsum("ij,ij->i", Z, Z)
 
 
@@ -275,7 +276,7 @@ def positive_scores(L, train: Dataset, X) -> np.ndarray:
     subtracted first: both sums are then divided by exp(top), which leaves
     the ratio as it is, and the nearest reference adds exp(0) = 1, so no
     finite row underflows both classes. A NaN similarity (from a metric whose
-    projections overflow) scores NaN.
+    projections overflow) scores NaN. ``_project`` skips L's all-zero rows.
 
     Raises DegenerateClassError if train lacks a class.
     """
@@ -283,7 +284,6 @@ def positive_scores(L, train: Dataset, X) -> np.ndarray:
     if n0 < 1 or n1 < 1:
         raise DegenerateClassError(f"no training instances of class {int(n0 >= 1)}")
     L = _check_metric(L)
-    L = L[np.any(L != 0.0, axis=1)]  # an all-zero row adds 0 to every distance
     right = _sides(*_project(L, train.X, "feature"))[1]
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     onehot = np.eye(2)[train.y]

@@ -396,6 +396,11 @@ def probe_train_flag(flag, text, tmp_path, capsys):
             "--out", str(tmp_path / "m.json"), "--trace", str(tmp_path / "out.csv")]
 
 
+def probe_train_confidence_flag(flag, text, tmp_path, capsys):
+    """train, with confidences, with one flag set."""
+    return [*probe_train_flag(flag, text, tmp_path, capsys), "--confidence", "confidence"]
+
+
 def probe_synth_flag(flag, text, tmp_path, capsys):
     return ["synth", "--n", "60", "--m", "3", "--m-informative", "1", flag, text,
             "--out", str(tmp_path / "out.csv")]
@@ -532,6 +537,9 @@ MALFORMED_INPUTS = {
     "train-non-integer-max-iters": (
         functools.partial(probe_train_flag, "--max-iters", "abc"), "validation",
     ),
+    "train-zero-max-iters": (
+        functools.partial(probe_train_flag, "--max-iters", "0"), "validation",
+    ),
     "unknown-subcommand": (lambda tmp_path, capsys: ["bogus"], "validation"),
     **{f"undecodable-{target}": (functools.partial(probe_undecodable, target), "validation")
        for target in ("train-csv", "predict-csv", "pred-file", "model")},
@@ -568,6 +576,10 @@ MALFORMED_INPUTS = {
     ),
     "experiment-negative-seed": (
         functools.partial(probe_experiment, [], seed=-1), "validation",
+    ),
+    # the config is valid, but the synthetic data has only 120 rows
+    "experiment-train-size-at-n": (
+        functools.partial(probe_experiment, [], train_sizes=[15, 120]), "validation",
     ),
     "synth-overflowing-separation": (
         functools.partial(probe_synth_flag, "--separation", "1e308"), "validation",
@@ -649,6 +661,7 @@ def test_inspect_and_predict_reject_the_same_model(tmp_path, capsys, key, value)
     ("--noise", "inf", "must be finite numbers"),
     ("--separation", "nan", "must be finite numbers"),
     ("--balance", "nan", "must be finite numbers"),
+    ("--n", "3", "n must be at least 4"),
 ])
 def test_synth_flag_rejected_by_synth_config(tmp_path, capsys, flag, text, match):
     code, out, err = run(capsys, *probe_synth_flag(flag, text, tmp_path, capsys))
@@ -676,7 +689,13 @@ def test_cli_check_names_its_cause(tmp_path, capsys, probe, match):
      "degenerate-class", "each class needs at least 2 instances"),
     (functools.partial(probe_train_flag, "--lambda2", "1"),
      "missing-supervision", "lambda2 > 0 requires confidence labels"),
-], ids=["header-only", "single-positive", "lambda2-without-confidences"])
+    (functools.partial(probe_train_csv, ""),
+     "validation", "{tmp_path}/data.csv: empty file or missing header"),
+    # the hinge term overflows to inf in Python float arithmetic
+    (functools.partial(probe_train_confidence_flag, "--lambda2", "1e308"),
+     "numerical-failure", "non-finite loss at initialization"),
+], ids=["header-only", "single-positive", "lambda2-without-confidences", "empty-file",
+        "overflowing-lambda2"])
 def test_train_rejection_message(tmp_path, capsys, probe, error, message):
     code, out, err = run(capsys, *probe(tmp_path, capsys))
     assert (code, out) == (1, "")
@@ -914,6 +933,9 @@ class TestExperiment:
         (lambda r: r.update(train_sizes=[-3, 10]), "positive and strictly ascending"),
         (lambda r: r["data"]["synth"].update(confidence_noise=float("inf")),
          "invalid data.synth: .* must be finite numbers"),
+        (lambda r: r["hyper_grid"].update(lambda1=[]), "lambda1 grid must be nonempty"),
+        (lambda r: r["hyper_grid"].pop("lambda2"),
+         "lambda2 grid must be nonempty for camel_cl"),
     ], ids=["no-train-sizes", "max-iter-typo", "grid-key", "synth-keys", "csv-keys",
             "two-sources", "string-trials", "int-train-sizes", "string-lambda",
             "negative-lambda1", "nan-lambda2", "duplicate-train-size",
@@ -923,7 +945,8 @@ class TestExperiment:
             "string-lambda-cell", "bool-lambda-cell", "null-lambda2-cell", "huge-int-lambda-cell",
             "unused-string-lambda2-cell", "bool-csv-path", "int-csv-path",
             "int-feature-column", "int-confidence-column", "zero-train-size",
-            "negative-train-size", "inf-synth-noise"])
+            "negative-train-size", "inf-synth-noise", "empty-lambda1-grid",
+            "no-lambda2-grid"])
     def test_config_dict_rejected(self, tmp_path, edit, match):
         raw = json.loads(experiment_config(tmp_path).read_text())
         edit(raw)

@@ -374,8 +374,6 @@ class TestSynthGenerate:
             SynthConfig(n=10, m=2, m_informative=3)
         with pytest.raises(ValidationError):
             SynthConfig(n=10, m=2, m_informative=1, class_balance=1.0)
-        with pytest.raises(ValidationError):
-            synth_generate(SynthConfig(n=10, m=2, m_informative=1, class_balance=0.05))
 
     @pytest.mark.parametrize("n, class_balance", [(4, 0.1), (4, 0.9), (10, 0.05), (40, 0.97)])
     def test_class_size_checked_when_constructed(self, n, class_balance):

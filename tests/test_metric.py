@@ -10,6 +10,7 @@ from confmetric import (
     Dataset,
     DegenerateClassError,
     DimensionMismatchError,
+    camel_loss,
     class_similarity,
     confidence_score,
     kernel_similarity,
@@ -18,6 +19,7 @@ from confmetric import (
     squared_distance,
 )
 from confmetric import metric
+from confmetric.objective import Objective
 
 
 class TestSquaredDistance:
@@ -268,6 +270,62 @@ class TestBlockedKernel:
         assert scores[0] == 0.5 / (math.exp(-1.0) / 2 + 0.5)
         s1, s0 = np.exp(-700.0) / 2, np.exp(-705.0) / 2
         assert scores[1] == s1 / (s0 + s1)
+
+
+class TestAllZeroRows:
+    """An all-zero row of L adds exactly 0 to every distance, and every kernel
+    builder projects through L's other rows only, so L and L without its
+    all-zero rows give the same bits."""
+
+    @staticmethod
+    def draws(count):
+        """Data, L with some all-zero rows, its live-row mask and queries; n
+        up to 700 rows is up to six 256-row tiles."""
+        rng = np.random.default_rng(31)
+        for _ in range(count):
+            n, m = int(rng.integers(4, 700)), int(rng.integers(2, 8))
+            X = rng.normal(size=(n, m))
+            y = rng.permutation(np.arange(n) % 2)
+            data = Dataset(X, y, rng.uniform(size=n))
+            L = rng.normal(size=(int(rng.integers(2, 12)), m)) * rng.uniform(0.1, 1.5)
+            dead = rng.uniform(size=len(L)) < rng.uniform(0.2, 0.9)
+            dead[rng.integers(len(L))] = False  # at least one live row
+            L[dead] = 0.0
+            yield data, L, ~dead, rng.normal(size=(50, m))
+
+    def test_objective_value_ignores_all_zero_rows(self):
+        for data, L, live, _ in self.draws(12):
+            objective = Objective(data, None, 0.5, 0.3)
+            loss, cache = objective.value(L)
+            loss_live, cache_live = objective.value(L[live])
+            # the L1 sums over different counts of zeros, which may regroup them
+            assert (loss.pushpull, loss.ranking) == (loss_live.pushpull, loss_live.ranking)
+            assert np.array_equal(cache.KB, cache_live.KB)
+            assert len(cache.tiles) == len(cache_live.tiles)
+            for (rows, cols, T), (rows_live, cols_live, T_live) in zip(cache.tiles,
+                                                                       cache_live.tiles):
+                assert (rows, cols) == (rows_live, cols_live)
+                assert np.array_equal(T, T_live)
+            # the smooth gradient is -2 L S, so a dead row stays dead
+            assert np.all(objective.gradient(cache)[~live] == 0.0)
+
+    def test_positive_scores_ignore_all_zero_rows(self):
+        for data, L, live, Q in self.draws(12):
+            assert np.array_equal(positive_scores(L, data, Q),
+                                  positive_scores(L[live], data, Q))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda data: positive_scores(np.eye(3), data, np.zeros((2, 2))), "query dimension"),
+    (lambda data: camel_loss(np.ones((2, 4)), data, 1.0), "feature dimension"),
+    (lambda data: camel_loss(np.ones(3), data, 1.0), "metric parameter must be a 2-D"),
+    (lambda data: positive_scores(np.full((2, 3), np.nan), data, np.zeros((2, 3))),
+     "metric parameter contains non-finite"),
+], ids=["query-width", "L-width", "1-D-L", "nan-L"])
+def test_metric_and_input_shapes_checked(call, match):
+    data = Dataset(np.arange(12.0).reshape(4, 3), [0, 1, 0, 1])
+    with pytest.raises(DimensionMismatchError, match=match):
+        call(data)
 
 
 def traced_peak(fn, *args):

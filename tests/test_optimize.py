@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -148,6 +149,21 @@ class TestFit:
         data = small_dataset(seed=9)
         L, _ = fit(data, TrainConfig(lambda1=0.1, proj_dim=2, max_iters=10))
         assert L.shape == (2, 5)
+
+    @pytest.mark.parametrize("seed, lambda1, lambda2", [
+        (20, 0.1, 0.0), (21, 1.0, 0.5), (22, 4.0, 1.0), (23, 0.5, 0.05),
+    ])
+    def test_rows_past_the_features_stay_zero(self, seed, lambda1, lambda2):
+        # init_metric pads the identity pattern past m with all-zero rows,
+        # which project to nothing and get a zero gradient: the padded fit is
+        # the unpadded one, bit for bit, plus two rows of exact zeros
+        data = small_dataset(seed=seed, n=120)
+        cfg = TrainConfig(lambda1=lambda1, lambda2=lambda2, max_iters=15)
+        L, _ = fit(data, cfg)
+        padded, _ = fit(data, dataclasses.replace(cfg, proj_dim=7))
+        assert padded.shape == (7, 5)
+        assert np.all(padded[5:] == 0.0)
+        assert np.array_equal(padded[:5], L)
 
     def test_convergence_status(self):
         data = small_dataset(seed=11)
