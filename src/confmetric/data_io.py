@@ -6,15 +6,16 @@ in the confidence column means the confidence is missing; confidences must
 be either all present or all absent.
 
 numpy's C reader parses the numeric cells. Whenever it cannot vouch for a
-file, the row parser reads the file again, and it alone raises the errors
-that name a row, a column and the offending text.
+file, the row parser reads the file again from its start, and it alone
+raises the errors that name a row, a column and the offending text. Every
+reader streams the file: none holds its bytes, so the memory a read takes
+is the arrays it returns plus a few fixed-size buffers.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import json
 import math
 import sys
@@ -33,6 +34,8 @@ _SPLIT_STREAM = 2
 _LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}
 # numpy's float parser strips these ASCII separators as whitespace; float() does not
 _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# bytes read at a time when a file is searched for _NUMPY_ONLY_SPACE
+_SCAN_CHUNK = 1 << 20
 
 
 @contextlib.contextmanager
@@ -212,21 +215,24 @@ def read_columns(path, features, label=None, confidence=None, id_column=None):
     confidence cell is empty; and the id cells as strings. y, c and ids are
     None when their column is not asked for.
 
-    numpy's C reader parses the cells first. If it fails, or a cell is not
-    finite, a label is not exactly "0" or "1" or a confidence is empty or
-    outside [0, 1], the row parser reads the file again. It returns the same
-    values bit for bit, or raises the ValidationError that names the first bad
-    row, column and text. A file with no data rows is a ValidationError too.
+    The file is streamed, never held whole. It is first searched, chunk by
+    chunk, for the bytes numpy's float parser strips but float() does not;
+    a file with none goes to numpy's C reader, which parses the cells from
+    the open file. If that reader fails, or a cell is not finite, a label is
+    not exactly "0" or "1" or a confidence is empty or outside [0, 1], the
+    row parser rereads the file from its start. It returns the same values
+    bit for bit, or raises the ValidationError that names the first bad row,
+    column and text. A file with no data rows is a ValidationError too, and
+    one that cannot be reread, such as a pipe, is an OSError.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    with decoding_errors(path):
-        fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    with open(path, newline="", encoding="utf-8") as fh, decoding_errors(path):
+        if not fh.seekable():  # the file is searched, then parsed: a pipe is read once
+            raise OSError(f"{path}: a CSV input must be a seekable file, not a pipe")
         header = next(csv.reader(fh), [])
         _require_columns(header, [c for c in (*features, label, confidence, id_column)
                                   if c is not None])
         rows = None
-        if not any(ch in raw for ch in _NUMPY_ONLY_SPACE):
+        if not _has_numpy_only_space(path):
             rows = _read_fast(fh, header, features, label, confidence, id_column)
         if rows is None:
             fh.seek(0)
@@ -234,6 +240,17 @@ def read_columns(path, features, label=None, confidence=None, id_column=None):
     if not len(rows[0]):
         raise ValidationError(f"{path}: no data rows")
     return rows
+
+
+def _has_numpy_only_space(path) -> bool:
+    """True when the file holds a byte of _NUMPY_ONLY_SPACE. The file is read
+    in _SCAN_CHUNK pieces: each such byte is one that no multi-byte UTF-8
+    sequence contains, so every way of cutting the file finds the same ones."""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SCAN_CHUNK):
+            if any(ch in chunk for ch in _NUMPY_ONLY_SPACE):
+                return True
+    return False
 
 
 def _read_fast(fh, header, features, label, confidence, id_column):

@@ -11,8 +11,9 @@ a row whose kernel values would all underflow is taken relative to its
 nearest reference, which leaves its ratio s1 / (s0 + s1) unchanged.
 
 There are two kernel builders, one per job, and neither forms a full kernel.
-Both project through ``_project``, which skips L's all-zero rows: each adds
-exactly 0 to every distance, so L and L less those rows give the same bits.
+Both project through ``_project`` with L less its all-zero rows
+(``_live_rows``, found once per call): each such row adds exactly 0 to every
+distance, so L and L less those rows give the same bits.
 Both take -d2 from one product of the two ``_sides`` arrays, then clip it
 at 0 and take ``exp`` in place (``_kernel_values``), with no d2 array.
 ``positive_scores`` projects the queries and takes that product in row blocks
@@ -98,14 +99,18 @@ _EXP_ZERO = 746.0
 _NORMAL_EDGE = math.log(np.finfo(np.float64).tiny)
 
 
-def _project(L, X, what: str):
-    """Rows Z = X L^T of a checked L's rows that are not all zero, and their
-    squared norms; X is 2-D float64, and what names its rows in the dimension
-    error. An all-zero row adds exactly 0 to every distance, and this is the
-    one place that skips it."""
-    if X.shape[1] != L.shape[1]:
+def _live_rows(L) -> np.ndarray:
+    """A checked L's rows that are not all zero. An all-zero row adds exactly
+    0 to every distance, and this is the one place that drops it."""
+    return L.compress(L.any(axis=1), axis=0)
+
+
+def _project(W, X, what: str):
+    """Rows Z = X W^T, for W = _live_rows(L), and their squared norms; X is
+    2-D float64, and what names its rows in the dimension error."""
+    if X.shape[1] != W.shape[1]:
         raise DimensionMismatchError(f"{what} dimension does not match metric columns")
-    Z = X @ L.compress(L.any(axis=1), axis=0).T
+    Z = X @ W.T
     return Z, np.einsum("ij,ij->i", Z, Z)
 
 
@@ -167,7 +172,7 @@ def _upper_tiles(L, X, B) -> tuple[list[tuple[slice, slice, np.ndarray]], np.nda
     ``_sides``, ``_kernel_values``, and its share of K @ B. The tiles hold
     (n^2 + n * side) / 2 floats at most.
     """
-    left, right = _sides(*_project(L, X, "feature"))
+    left, right = _sides(*_project(_live_rows(L), X, "feature"))
     n, side = left.shape[0], math.isqrt(_BLOCK_BYTES // 8)
     edge = n % side  # the last tile row's height, when it is partial
     # the tiles over i <= j hold (n^2 + sum of squared tile heights) / 2 floats
@@ -250,7 +255,7 @@ def class_similarity(L, data: Dataset, i: int, y: int) -> float:
     mask[i] = False
     if not mask.any():
         raise DegenerateClassError(f"no instances of class {y} besides instance {i}")
-    _, d2 = _project(_check_metric(L), data.X[mask] - data.X[i], "feature")
+    _, d2 = _project(_live_rows(_check_metric(L)), data.X[mask] - data.X[i], "feature")
     return float(np.exp(-d2).mean())
 
 
@@ -276,16 +281,21 @@ def positive_scores(L, train: Dataset, X) -> np.ndarray:
     subtracted first: both sums are then divided by exp(top), which leaves
     the ratio as it is, and the nearest reference adds exp(0) = 1, so no
     finite row underflows both classes. A NaN similarity (from a metric whose
-    projections overflow) scores NaN. ``_project`` skips L's all-zero rows.
+    projections overflow) scores NaN. L's live rows are found once, and every
+    query block is projected through them.
 
-    Raises DegenerateClassError if train lacks a class.
+    Raises DegenerateClassError if train lacks a class, and
+    DimensionMismatchError if X is not a 2-D array or a row of it (a 1-D X is
+    one row) does not match L's columns.
     """
     n0, n1 = train.class_counts()
     if n0 < 1 or n1 < 1:
         raise DegenerateClassError(f"no training instances of class {int(n0 >= 1)}")
-    L = _check_metric(L)
-    right = _sides(*_project(L, train.X, "feature"))[1]
+    W = _live_rows(_check_metric(L))
+    right = _sides(*_project(W, train.X, "feature"))[1]
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.ndim != 2:
+        raise DimensionMismatchError(f"query rows must be a 2-D array, not {X.ndim}-D")
     onehot = np.eye(2)[train.y]
     q, n = X.shape[0], right.shape[0]
     h = _block_height(n)
@@ -294,7 +304,7 @@ def positive_scores(L, train: Dataset, X) -> np.ndarray:
     for i in range(0, q, h):
         rows, block = slice(i, i + h), G[: min(h, q - i)]
         # the queries are projected block by block, never all at once
-        np.matmul(_sides(*_project(L, X[rows], "query"))[0], right.T, out=block)
+        np.matmul(_sides(*_project(W, X[rows], "query"))[0], right.T, out=block)
         top = block.max(axis=1)
         far = top < _NORMAL_EDGE  # False for NaN
         if far.any():

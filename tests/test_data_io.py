@@ -1,5 +1,7 @@
+import os
 import re
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -292,6 +294,65 @@ class TestReadColumns:
         assert loadtxt.call_count == 1
         assert X.shape == (2, 0) and y.tolist() == [1, 0]
         assert c is None and ids is None
+
+    @staticmethod
+    def past_the_scan_chunk(tmp_path, last_row: bytes):
+        """A file of more than one scan chunk whose last row, which starts
+        past the first chunk, is last_row; a wide unused column keeps the
+        row count low."""
+        head = b"f0,f1,label,pad\n"
+        row = b"0.5,-1,1," + b"x" * 100 + b"\n"
+        count = data_io._SCAN_CHUNK // len(row) + 1
+        p = tmp_path / "big.csv"
+        p.write_bytes(head + row * count + last_row)
+        assert len(head) + len(row) * count > data_io._SCAN_CHUNK
+        return p, count + 2  # the header is row 1
+
+    def test_numpy_only_space_past_the_first_scan_chunk(self, tmp_path):
+        p, last = self.past_the_scan_chunk(tmp_path, b"2,3\x1c,0,y\n")
+        fast, slow = read_both(p, ["f0", "f1"], "label")
+        assert_same(fast, slow)
+        assert fast == (ValidationError,
+                        f"row {last}, column 'f1': '3\\x1c' is not a finite number")
+
+    def test_undecodable_bytes_past_the_first_scan_chunk(self, tmp_path):
+        p, _ = self.past_the_scan_chunk(tmp_path, b"2,3,0,\xff\xfe\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(p))} is not UTF-8 text"):
+            data_io.read_columns(p, ["f0", "f1"], "label")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+    def test_a_pipe_is_refused(self):
+        # the file is searched, then parsed: a pipe would reach the parser
+        # with its rows already read
+        r, w = os.pipe()
+        os.write(w, b"f0\n1.5\n")
+        os.close(w)
+        try:
+            with pytest.raises(OSError, match=f"^/dev/fd/{r}: .* not a pipe"):
+                data_io.read_columns(f"/dev/fd/{r}", ["f0"])
+        finally:
+            os.close(r)
+
+    def test_memory_does_not_grow_with_the_file(self, tmp_path):
+        # the same rows and requested column, with 2 and with 16 unused
+        # columns: only a fixed-size buffer may hold the file's text
+        def traced(unused):
+            p = tmp_path / f"unused{unused}.csv"
+            cells = ["0.25", *["0.123456789"] * unused]
+            p.write_text(",".join(f"c{j}" for j in range(len(cells))) + "\n"
+                         + (",".join(cells) + "\n") * 40_000)
+            tracemalloc.start()
+            try:
+                X = data_io.read_columns(p, ["c0"])[0]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert X.shape == (40_000, 1)
+            return peak, p.stat().st_size
+
+        (small_peak, small), (big_peak, big) = traced(2), traced(16)
+        assert small > data_io._SCAN_CHUNK
+        assert big_peak - small_peak < 0.1 * (big - small)
 
 
 class TestRoundTrip:

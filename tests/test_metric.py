@@ -321,7 +321,9 @@ class TestAllZeroRows:
     (lambda data: camel_loss(np.ones(3), data, 1.0), "metric parameter must be a 2-D"),
     (lambda data: positive_scores(np.full((2, 3), np.nan), data, np.zeros((2, 3))),
      "metric parameter contains non-finite"),
-], ids=["query-width", "L-width", "1-D-L", "nan-L"])
+    (lambda data: positive_scores(np.eye(3), data, np.zeros((2, 3, 3))),
+     "query rows must be a 2-D array, not 3-D"),
+], ids=["query-width", "L-width", "1-D-L", "nan-L", "3-D-query"])
 def test_metric_and_input_shapes_checked(call, match):
     data = Dataset(np.arange(12.0).reshape(4, 3), [0, 1, 0, 1])
     with pytest.raises(DimensionMismatchError, match=match):
