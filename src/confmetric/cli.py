@@ -54,7 +54,8 @@ def _emit(obj):
 
 
 def _flag_columns(header, args) -> list[str]:
-    """The --features columns; each column a flag but --label names must be in header."""
+    """The --features columns, or [] without the flag. Every column a flag
+    names but --label must be in the header: predict reads no label."""
     features = [c.strip() for c in args.features.split(",")] if args.features else []
     _require_columns(header, [c for c in (*features, args.confidence, args.id_column) if c])
     return features

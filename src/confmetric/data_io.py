@@ -5,11 +5,12 @@ with a '.' decimal separator and no digit-group separators. An empty string
 in the confidence column means the confidence is missing; confidences must
 be either all present or all absent.
 
-numpy's C reader parses the numeric cells. Whenever it cannot vouch for a
-file, the row parser reads the file again from its start, and it alone
-raises the errors that name a row, a column and the offending text. Every
-reader streams the file: none holds its bytes, so the memory a read takes
-is the arrays it returns plus a few fixed-size buffers.
+numpy's C reader parses every needed cell in one pass over the file, the
+numbers as float64 and the label and id cells as text. Whenever it cannot
+vouch for a file, the row parser reads the file again from its start, and
+it alone raises the errors that name a row, a column and the offending
+text. Every reader streams the file: none holds its bytes, so the memory a
+read takes is the arrays it returns plus a few fixed-size buffers.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import ValidationError
 _SYNTH_STREAM = 1
 _SPLIT_STREAM = 2
 
-_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}
+_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 1}
 # numpy's float parser strips these ASCII separators as whitespace; float() does not
 _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # bytes read at a time when a file is searched for _NUMPY_ONLY_SPACE
@@ -254,30 +255,24 @@ def _has_numpy_only_space(path) -> bool:
 
 
 def _read_fast(fh, header, features, label, confidence, id_column):
-    """The columns by np.loadtxt, or None when anything needs the row parser."""
+    """The columns by one np.loadtxt pass, or None when anything needs the
+    row parser. Each row is a record of its numeric cells as float64 and its
+    text cells (label, id) as objects; either part may have no column."""
     # a repeated name stands for its last column, as in csv.DictReader
     col = {name: j for j, name in enumerate(header)}
     numeric = [*features, *([confidence] if confidence is not None else [])]
     text = [c for c in (label, id_column) if c is not None]
-    values = None
+    # object cells keep the text as csv reads it, NUL characters included
+    record = np.dtype([("num", np.float64, (len(numeric),)), ("text", object, (len(text),))])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a header-only file has no data
-            if numeric or not text:  # with no numeric column the text cells count the rows
-                values = np.loadtxt(fh, usecols=[col[c] for c in numeric],
-                                    dtype=np.float64, **_LOADTXT)
-            if text:
-                if values is not None:
-                    fh.seek(0)
-                    next(csv.reader(fh))
-                # object cells keep the text as csv reads it, NUL characters included
-                cells = np.loadtxt(fh, usecols=[col[c] for c in text], dtype=object,
-                                   **_LOADTXT)
+            rows = np.loadtxt(fh, usecols=[col[c] for c in (*numeric, *text)],
+                              dtype=record, **_LOADTXT)
     except ValueError:
         return None
-    if values is None:
-        values = np.empty((len(cells), 0))
-    if not np.isfinite(values).all() or (text and len(cells) != len(values)):
+    values, cells = rows["num"], rows["text"]
+    if not np.isfinite(values).all():
         return None
     y = c = ids = None
     if label is not None:

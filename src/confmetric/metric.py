@@ -56,7 +56,7 @@ import math
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegenerateClassError, DimensionMismatchError
+from .errors import DegenerateClassError, DimensionMismatchError, ValidationError
 
 
 def _check_metric(L) -> np.ndarray:
@@ -263,12 +263,12 @@ def confidence_score(s_y: float, s_not_y: float) -> float:
     """Class confidence s_y / (s_y + s_not_y).
 
     Complementary: confidence_score(a, b) + confidence_score(b, a) == 1.
-    Two zero similarities carry no class evidence and raise, as negative,
-    infinite or NaN ones do, and two whose sum overflows.
+    Two zero similarities carry no class evidence and raise ValidationError,
+    as negative, infinite or NaN ones do, and two whose sum overflows.
     """
     total = s_y + s_not_y
     if not (s_y >= 0.0 and s_not_y >= 0.0 and 0.0 < total < math.inf):  # NaN fails too
-        raise DimensionMismatchError(
+        raise ValidationError(
             "similarity scores must be nonnegative and finite, not both zero")
     return s_y / total
 

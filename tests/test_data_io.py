@@ -295,6 +295,24 @@ class TestReadColumns:
         assert X.shape == (2, 0) and y.tolist() == [1, 0]
         assert c is None and ids is None
 
+    @pytest.mark.parametrize("label, confidence, id_column", [
+        ("label", "confidence", "id"), (None, None, "id"), (None, None, None),
+    ], ids=["train-with-ids", "predict-with-ids", "features-only"])
+    def test_every_column_set_parses_once(self, tmp_path, label, confidence, id_column):
+        # numeric and text cells come from one pass over the file: no reread
+        p = tmp_path / "data.csv"
+        p.write_text('id,f0,label,f1,confidence\n"a,1",1.5,1,-2,0.25\n\nb,2,0,3e-2,1\n')
+        with mock.patch.object(data_io.np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+                mock.patch.object(data_io, "_read_slow", side_effect=AssertionError):
+            X, y, c, ids = data_io.read_columns(p, ["f0", "f1"], label, confidence,
+                                                id_column)
+        assert loadtxt.call_count == 1
+        assert X.tolist() == [[1.5, -2.0], [2.0, 0.03]] and X.flags.c_contiguous
+        assert (y is None) == (label is None) and (c is None) == (confidence is None)
+        if label is not None:
+            assert (y.tolist(), c.tolist()) == ([1, 0], [0.25, 1.0])
+        assert ids == (["a,1", "b"] if id_column is not None else None)
+
     @staticmethod
     def past_the_scan_chunk(tmp_path, last_row: bytes):
         """A file of more than one scan chunk whose last row, which starts

@@ -9,6 +9,7 @@ from scipy.stats import rankdata
 from confmetric import evaluate
 from confmetric import (
     UndefinedMetricError,
+    ValidationError,
     auroc,
     feature_weight_stats,
     heatmap_matrix,
@@ -46,6 +47,16 @@ class TestAuroc:
     def test_too_few_points(self):
         with pytest.raises(UndefinedMetricError):
             auroc([0.3], [1])
+
+    @pytest.mark.parametrize("scores, labels, match", [
+        ([0.1, 0.9, 0.5], [0, 1], "equal-length vectors"),
+        ([[0.1, 0.9], [0.2, 0.8]], [[0, 1], [0, 1]], "equal-length vectors"),
+        ([0.1, 0.9, 0.5], [0, 1, 2], "labels must be 0 or 1"),
+        ([0.1, 0.9], [0.5, 1], "labels must be 0 or 1"),
+    ], ids=["lengths-differ", "2-D", "label-2", "fractional-label"])
+    def test_bad_inputs_raise(self, scores, labels, match):
+        with pytest.raises(ValidationError, match=match):
+            auroc(scores, labels)
 
     def test_matches_pair_count_oracle_exactly(self):
         rng = np.random.default_rng(0)

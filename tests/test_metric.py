@@ -10,10 +10,12 @@ from confmetric import (
     Dataset,
     DegenerateClassError,
     DimensionMismatchError,
+    ValidationError,
     camel_loss,
     class_similarity,
     confidence_score,
     kernel_similarity,
+    margin,
     positive_scores,
     similarity_scores,
     squared_distance,
@@ -323,7 +325,11 @@ class TestAllZeroRows:
      "metric parameter contains non-finite"),
     (lambda data: positive_scores(np.eye(3), data, np.zeros((2, 3, 3))),
      "query rows must be a 2-D array, not 3-D"),
-], ids=["query-width", "L-width", "1-D-L", "nan-L", "3-D-query"])
+    (lambda data: class_similarity(np.eye(3), data, 4, 0), "index 4 out of range for n=4"),
+    (lambda data: class_similarity(np.eye(3), data, -1, 0), "index -1 out of range"),
+    (lambda data: margin(np.eye(3), data, 4), "index 4 out of range for n=4"),
+], ids=["query-width", "L-width", "1-D-L", "nan-L", "3-D-query",
+        "similarity-index-past-n", "similarity-negative-index", "margin-index-past-n"])
 def test_metric_and_input_shapes_checked(call, match):
     data = Dataset(np.arange(12.0).reshape(4, 3), [0, 1, 0, 1])
     with pytest.raises(DimensionMismatchError, match=match):
@@ -458,12 +464,18 @@ class TestConfidenceScore:
 
     def test_both_zero_raises(self):
         # no class evidence at all is an error, as a negative similarity is
-        with pytest.raises(DimensionMismatchError, match="not both zero"):
+        with pytest.raises(ValidationError, match="not both zero"):
             confidence_score(0.0, 0.0)
 
     @pytest.mark.parametrize("s_y, s_not_y", [(math.nan, 1.0), (1.0, math.nan)])
     def test_nan_raises(self, s_y, s_not_y):
-        with pytest.raises(DimensionMismatchError, match="must be nonnegative"):
+        with pytest.raises(ValidationError, match="must be nonnegative"):
+            confidence_score(s_y, s_not_y)
+
+    @pytest.mark.parametrize("s_y, s_not_y", [(-0.1, 1.0), (1.0, -1e-300)])
+    def test_negative_raises(self, s_y, s_not_y):
+        # the values are at fault, not a dimension
+        with pytest.raises(ValidationError, match="must be nonnegative"):
             confidence_score(s_y, s_not_y)
 
     @pytest.mark.parametrize("s_y, s_not_y", [
@@ -471,7 +483,7 @@ class TestConfidenceScore:
     ])
     def test_infinite_raises(self, s_y, s_not_y):
         # inf / (inf + 1) is NaN and 1 / (1 + inf) is 0: neither is a confidence
-        with pytest.raises(DimensionMismatchError, match="finite"):
+        with pytest.raises(ValidationError, match="finite"):
             confidence_score(s_y, s_not_y)
 
     def test_complementarity(self):
