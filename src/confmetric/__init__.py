@@ -35,7 +35,6 @@ from .metric import (
     confidence_score,
     kernel_similarity,
     positive_scores,
-    similarity_scores,
     squared_distance,
 )
 from .model_io import ModelFile, load_model, save_model, schema_fingerprint
@@ -46,6 +45,7 @@ from .objective import (
     camel_cl_loss,
     camel_loss,
     margin,
+    similarity_scores,
     smooth_gradient,
 )
 from .optimize import TrainConfig, TrainTrace, fit, init_metric, soft_threshold

@@ -95,7 +95,8 @@ def _add_schema_flags(p):
 
 def cmd_train(args) -> int:
     schema = _schema_from_flags(args.data, args)
-    data, _ = load_csv(args.data, schema)
+    # a model keeps no ids: the id column is checked in the header, not parsed
+    data, _ = load_csv(args.data, dataclasses.replace(schema, id_column=None))
     cfg = _config_from_args(TrainConfig, args)
     L, trace = fit(data, cfg)
     model = ModelFile(

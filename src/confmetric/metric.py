@@ -24,20 +24,20 @@ The training kernel, which fitting rebuilds at every loss evaluation, is
 symmetric, so ``_upper_tiles`` builds only its square tiles at or above the
 diagonal (``isqrt(_BLOCK_BYTES / 8)`` = 256 rows a side), packed into one
 buffer. Each tile gets its own product, the same elementwise rule and a
-zeroed diagonal, and gives its share of the class sums (``K_ij B_j`` and
-``K_ij^T B_i``) while it is in cache; ``similarity_scores`` and the
-objective read those sums, and the gradient reads them from the objective's
-cache and its other products with K from the same tiles, over each class's
-span of the objective's label-sorted rows (``_class_products``), so fitting
-never forms an n x n array. A diagonal tile is symmetric only to the last
-bit, as entries (i, j) and (j, i) add the two norms in opposite order.
+zeroed diagonal, and gives its share of K B while it is in cache. The
+gradient's other products with K come from the same tiles, over each
+class's span of the label-sorted rows (``_class_products``), so fitting
+never forms an n x n array. ``_shares`` is the one mirror rule for both: an
+off-diagonal tile K_ij also serves as K_ji = K_ij^T. A diagonal tile is
+symmetric only to the last bit, as entries (i, j) and (j, i) add the two
+norms in opposite order.
 ``class_similarity`` projects row differences through ``_project`` too.
 
-What depends on the training rows alone, ``objective.Objective`` builds once:
-the label-sorted rows and their one-hot labels. ``_upper_tiles`` gets those,
-and an L its caller checked, as arguments and does only the arithmetic that
-depends on L, in as few numpy calls as it can: at n <= 160 the cost of each
-call, not its arithmetic, sets a fit's time.
+The training rows, their labels and their classes belong to
+``objective.Objective``. ``_upper_tiles`` gets its label-sorted rows and
+one-hot labels, and an L its caller checked, as arguments and does only the
+arithmetic that depends on L, in as few numpy calls as it can: at n <= 160
+the cost of each call, not its arithmetic, sets a fit's time.
 
 Underflow rule: ``exp(-d2)`` is 0.0 exactly for every ``d2 >= 746``, and
 fitting drives nearly every off-diagonal distance far past that. numpy's
@@ -169,8 +169,13 @@ def _upper_tiles(L, X, B) -> tuple[list[tuple[slice, slice, np.ndarray]], np.nda
     Returns (rows, cols, K[rows, cols]) for every tile at or above the
     diagonal, in row-major order, carved from one packed buffer. Each tile
     is built and used while it is in cache: one product of the two
-    ``_sides``, ``_kernel_values``, and its share of K @ B. The tiles hold
-    (n^2 + n * side) / 2 floats at most.
+    ``_sides``, ``_kernel_values``, and its ``_shares`` of K @ B. The tiles
+    hold (n^2 + n * side) / 2 floats at most.
+
+    One buffer, as a fit calls this at every loss evaluation: with an array
+    per tile, the same bits cost ~52k page faults per n = 2000 fit, not 0,
+    and ``train-rank`` ran slower in 4 of 4 process pairs (wall median
+    0.224 -> 0.322 s, 2 CPUs, one BLAS thread).
     """
     left, right = _sides(*_project(_live_rows(L), X, "feature"))
     n, side = left.shape[0], math.isqrt(_BLOCK_BYTES // 8)
@@ -191,60 +196,36 @@ def _upper_tiles(L, X, B) -> tuple[list[tuple[slice, slice, np.ndarray]], np.nda
             if i == j:
                 T.ravel()[:: h + 1] = 0.0  # T is square and C-contiguous
             tiles.append((rows, cols, T))
-            _tile_into(KB, rows, cols, T, B)
+            for dst, src, A in _shares(rows, cols, T):
+                KB[dst] += A @ B[src]
     return tiles, KB
 
 
-def _tile_into(out, rows, cols, T, P) -> None:
-    """Add the tile T = K[rows, cols]'s share of K @ P to out: T @ P[cols],
-    and off the diagonal its mirror's T^T @ P[rows]."""
-    out[rows] += T @ P[cols]
-    if rows.start != cols.start:
-        out[cols] += T.T @ P[rows]
+def _shares(rows, cols, T) -> tuple[tuple[slice, slice, np.ndarray], ...]:
+    """(dst, src, K[dst, src]) for the upper tile T = K[rows, cols] and, off
+    the diagonal, for its mirror K[cols, rows] = T^T, as K is symmetric."""
+    if rows.start == cols.start:
+        return ((rows, cols, T),)
+    return (rows, cols, T), (cols, rows, T.T)
 
 
 def _class_products(tiles, n0, Pt) -> np.ndarray:
     """(K (B_c P))^T for c = 0, 1, stacked, from P^T: K has the upper tiles
     ``tiles`` over rows sorted by label, and B_c keeps class c's rows, the
-    first n0 for class 0 and the rest for class 1. Each tile's columns, and
-    its mirror's rows, meet B_c P only where they cross class c's span, so
-    no product multiplies a row that B_c zeroes. P^T times a tile is faster
-    than a tile times P.
+    first n0 for class 0 and the rest for class 1. Each of a tile's
+    ``_shares`` meets B_c P only where its source rows cross class c's span,
+    so no product multiplies a row that B_c zeroes. P^T times a tile is
+    faster than a tile times P.
     """
     out = np.zeros((2, *Pt.shape))
     spans = ((0, n0), (n0, Pt.shape[1]))
-    for rows, cols, T in tiles:
-        shares = ((rows, cols, T.T), (cols, rows, T))  # (to, from, from x to tile)
-        for dst, src, A in shares[: 1 + (rows.start != cols.start)]:
+    for tile in tiles:
+        for dst, src, A in _shares(*tile):
             for c, (lo, hi) in enumerate(spans):
                 a, b = max(src.start, lo), min(src.stop, hi)
                 if a < b:
-                    out[c, :, dst] += Pt[:, a:b] @ A[a - src.start : b - src.start]
+                    out[c, :, dst] += Pt[:, a:b] @ A.T[a - src.start : b - src.start]
     return out
-
-
-def similarity_scores(L, data: Dataset) -> np.ndarray:
-    """Mean within-class kernel similarity for every instance and class.
-
-    Returns an (n, 2) array S where S[i, y] is the mean similarity of
-    instance i to all other instances with label y (self excluded by index).
-    Raises DegenerateClassError if a class has fewer than 2 instances.
-    """
-    onehot, counts = _class_references(data)
-    return _upper_tiles(_check_metric(L), data.X, onehot)[1] / counts
-
-
-def _class_references(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """One-hot labels and, per instance and class, the reference-set size.
-
-    The own-class reference set excludes the instance itself, so each class
-    needs two instances; with fewer, DegenerateClassError is raised.
-    """
-    n0, n1 = data.class_counts()
-    if min(n0, n1) < 2:
-        raise DegenerateClassError("each class needs at least 2 instances")
-    onehot = np.eye(2)[data.y]
-    return onehot, np.array([n0, n1], dtype=np.float64)[None, :] - onehot
 
 
 def class_similarity(L, data: Dataset, i: int, y: int) -> float:
@@ -282,7 +263,9 @@ def positive_scores(L, train: Dataset, X) -> np.ndarray:
     the ratio as it is, and the nearest reference adds exp(0) = 1, so no
     finite row underflows both classes. A NaN similarity (from a metric whose
     projections overflow) scores NaN. L's live rows are found once, and every
-    query block is projected through them.
+    query block is projected through them. Every block is written into one
+    reused buffer: a new array per block raised ``score-batch``'s peak RSS
+    (median 42.89 -> 43.70 MiB, 4 of 4 process pairs).
 
     Raises DegenerateClassError if train lacks a class, and
     DimensionMismatchError if X is not a 2-D array or a row of it (a 1-D X is

@@ -31,7 +31,8 @@ no n x n array is ever formed. ``Objective.floor(L)`` bounds the total
 from below without building a kernel, which lets the line search reject a
 trial whose L1 term alone already loses. ``camel_loss``, ``camel_cl_loss``
 and ``smooth_gradient`` are one-shot wrappers over it; ``camel_loss`` is
-the ranking variant at lambda2 = 0.
+the ranking variant at lambda2 = 0. ``similarity_scores`` gives the
+objective's own class means in the caller's row order, for ``margin``.
 
 The hinge never lists its pairs when fitting. Order a class once by
 (margin, confidence) and once by (confidence, margin): an instance's
@@ -57,14 +58,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dataset import Dataset, check_labels
-from .errors import DimensionMismatchError, MissingSupervisionError
-from .metric import (
-    _check_metric,
-    _class_references,
-    _class_products,
-    _upper_tiles,
-    similarity_scores,
-)
+from .errors import DegenerateClassError, DimensionMismatchError, MissingSupervisionError
+from .metric import _check_metric, _class_products, _upper_tiles
 
 if TYPE_CHECKING:  # optimize imports this module
     from .optimize import TrainConfig
@@ -133,6 +128,20 @@ def _counted_hinge(marg: np.ndarray, y: np.ndarray, rank: np.ndarray,
     return float(marg @ gain), gain
 
 
+def similarity_scores(L, data: Dataset) -> np.ndarray:
+    """Mean within-class kernel similarity for every instance and class.
+
+    Returns an (n, 2) array S, in data's row order, where S[i, y] is the mean
+    similarity of instance i to all other instances with label y (self
+    excluded by index): the objective's own class means, bit for bit.
+    Raises DegenerateClassError if a class has fewer than 2 instances.
+    """
+    objective = Objective(data, None, 0.0, 0.0)
+    S = np.empty((data.n, 2))
+    S[objective.order] = objective.value(L)[1].KB / objective.counts
+    return S
+
+
 def margin(L, data: Dataset, i: int) -> float:
     """Own-class similarity score minus opposite-class score for instance i."""
     if not 0 <= i < data.n:
@@ -197,10 +206,14 @@ class Objective:
     def __init__(
         self, data: Dataset, pairs: RankingPairs | None, lambda1: float, lambda2: float
     ):
-        order = np.argsort(data.y, kind="stable")
+        self.order = order = np.argsort(data.y, kind="stable")
         self.data = data = data.subset(order)
-        self.n0 = data.class_counts()[0]
-        self.onehot, self.counts = _class_references(data)
+        self.n0, n1 = data.class_counts()
+        if min(self.n0, n1) < 2:
+            raise DegenerateClassError("each class needs at least 2 instances")
+        self.onehot = np.eye(2)[data.y]
+        # each instance's reference-set size per class, itself excluded
+        self.counts = np.array([self.n0, n1], dtype=np.float64)[None, :] - self.onehot
         self.W = (2.0 * self.onehot - 1.0) / self.counts
         # what depends on the rows only, for value and gradient to read
         self._own, self._other = _label_entries(data.y)

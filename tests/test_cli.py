@@ -148,6 +148,36 @@ class TestTrainPredictEvaluate:
         )
         assert code == 0
 
+    def test_train_parses_no_id_column(self, tmp_path, capsys, monkeypatch):
+        # the model keeps no ids, so train reads the pid column in the
+        # header only, and the fit is the one without the column
+        with open(make_data(tmp_path, capsys), newline="") as fh:
+            rows = list(csv.reader(fh))
+        data = tmp_path / "ids.csv"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows([["pid", *rows[0]]] + [
+                [f"p{i},{i % 7}", *row] for i, row in enumerate(rows[1:])])
+        usecols = []
+        loadtxt = np.loadtxt
+
+        def recording_loadtxt(*args, **kwargs):
+            usecols.append(list(kwargs["usecols"]))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+        models = []
+        for flags in (["--id-column", "pid"], ["--features", "f0,f1,f2,f3,f4"]):
+            models.append(tmp_path / f"m{len(models)}.json")
+            code, _, _ = run(
+                capsys, "train", "--data", str(data), *flags,
+                "--confidence", "confidence", "--max-iters", "3",
+                "--out", str(models[-1]), "--trace", str(tmp_path / "t.csv"),
+            )
+            assert code == 0
+        assert len(usecols) == 2 and all(0 not in cols for cols in usecols)
+        assert json.loads(models[0].read_text())["matrix"] == (
+            json.loads(models[1].read_text())["matrix"])
+
     def test_lambda2_without_confidences_fails_cleanly(self, tmp_path, capsys):
         data = make_data(tmp_path, capsys)
         code, out, err = run(

@@ -366,6 +366,16 @@ class TestKernelMemory:
                   - traced_peak(positive_scores, L, data, Q[:4000]))
         assert growth < 8 * 36_000 * m
 
+    def test_upper_tiles_share_one_buffer(self):
+        # 600 rows are three tiles a side, the last partial: all six are
+        # views of one array, which a fit reuses at every loss evaluation
+        rng = np.random.default_rng(29)
+        X = rng.normal(size=(600, 4))
+        tiles, _ = metric._upper_tiles(rng.normal(size=(2, 4)), X, np.zeros((600, 2)))
+        assert len(tiles) == 6
+        bases = {id(T.base) for _, _, T in tiles}
+        assert len(bases) == 1 and tiles[0][2].base is not None
+
 
 @settings(max_examples=60, deadline=None)
 @given(

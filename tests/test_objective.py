@@ -650,6 +650,18 @@ class TestRowOrder:
     """Objective sorts its rows by label itself, so rows with many label runs
     give the same loss and gradient, bit for bit, as the same rows sorted."""
 
+    @pytest.mark.parametrize("n", [40, 160, 600])
+    def test_similarity_scores_are_the_objective_class_means(self, n):
+        # unsorted rows: the public scores are the objective's own, bit for bit
+        rng = np.random.default_rng(n)
+        data = random_dataset(rng, n=n, m=4)
+        assert np.count_nonzero(np.diff(data.y)) > 10
+        L = rng.normal(size=(3, 4)) * 0.5
+        objective = Objective(data, None, 0, 0)
+        KB = objective.value(L)[1].KB
+        S = similarity_scores(L, data)[np.argsort(data.y, kind="stable")]
+        assert np.array_equal(S, KB / objective.counts)
+
     @staticmethod
     def assert_order_free(data, L):
         assert np.count_nonzero(np.diff(data.y)) > 10
