@@ -28,7 +28,7 @@ from .data_io import (
     write_csv,
 )
 from .dataset import Dataset
-from .errors import ConfmetricError, NumericalFailureError, ValidationError
+from .errors import ConfmetricError, ValidationError
 from .evaluate import (
     auroc,
     feature_weight_stats,
@@ -134,12 +134,7 @@ def cmd_predict(args) -> int:
     # labels are not needed for scoring; parse features and optional ids only
     rows, ids = _read_feature_rows(args.data, schema.feature_columns, args.id_column)
     train = Dataset(model.train_X, model.train_y)
-    # a matrix whose projections overflow is one error, not a file of NaNs
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            scores = positive_scores(model.matrix, train, rows)
-    except FloatingPointError as exc:
-        raise NumericalFailureError(f"{exc} while scoring") from None
+    scores = positive_scores(model.matrix, train, rows)
     labels = (scores > args.threshold).astype(int)
     write_csv(args.out, ["id", "confidence", "label"],
               zip(ids, map(float, scores), map(int, labels)))

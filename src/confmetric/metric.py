@@ -6,8 +6,9 @@ through L, which makes the implied quadratic form L^T L positive
 semidefinite by construction. Similarity is the Gaussian kernel of that
 distance with bandwidth absorbed into the scale of L.
 
-``positive_scores`` is the one query scorer, and it scores every finite row:
-a row whose kernel values would all underflow is taken relative to its
+``positive_scores`` is the one query scorer. It scores every finite row
+whose projection does not overflow (that raises NumericalFailureError): a
+row whose kernel values would all underflow is taken relative to its
 nearest reference, which leaves its ratio s1 / (s0 + s1) unchanged.
 
 There are two kernel builders, one per job, and neither forms a full kernel.
@@ -56,7 +57,8 @@ import math
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegenerateClassError, DimensionMismatchError, ValidationError
+from .errors import (DegenerateClassError, DimensionMismatchError, NumericalFailureError,
+                     ValidationError)
 
 
 def _check_metric(L) -> np.ndarray:
@@ -261,38 +263,42 @@ def positive_scores(L, train: Dataset, X) -> np.ndarray:
     A row whose largest -d2, ``top``, is below ``_NORMAL_EDGE`` has ``top``
     subtracted first: both sums are then divided by exp(top), which leaves
     the ratio as it is, and the nearest reference adds exp(0) = 1, so no
-    finite row underflows both classes. A NaN similarity (from a metric whose
-    projections overflow) scores NaN. L's live rows are found once, and every
+    finite row underflows both classes. L's live rows are found once, and every
     query block is projected through them. Every block is written into one
     reused buffer: a new array per block raised ``score-batch``'s peak RSS
     (median 42.89 -> 43.70 MiB, 4 of 4 process pairs).
 
-    Raises DegenerateClassError if train lacks a class, and
-    DimensionMismatchError if X is not a 2-D array or a row of it (a 1-D X is
-    one row) does not match L's columns.
+    Raises DegenerateClassError if train lacks a class, DimensionMismatchError
+    if X is not a 2-D array or a row of it (a 1-D X is one row) does not match
+    L's columns, and NumericalFailureError on an overflow or invalid operation
+    (say, from a metric or a row whose projections overflow).
     """
     n0, n1 = train.class_counts()
     if n0 < 1 or n1 < 1:
         raise DegenerateClassError(f"no training instances of class {int(n0 >= 1)}")
-    W = _live_rows(_check_metric(L))
-    right = _sides(*_project(W, train.X, "feature"))[1]
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.ndim != 2:
-        raise DimensionMismatchError(f"query rows must be a 2-D array, not {X.ndim}-D")
-    onehot = np.eye(2)[train.y]
-    q, n = X.shape[0], right.shape[0]
-    h = _block_height(n)
-    G = np.empty((min(h, q), n))
-    S = np.empty((q, 2))
-    for i in range(0, q, h):
-        rows, block = slice(i, i + h), G[: min(h, q - i)]
-        # the queries are projected block by block, never all at once
-        np.matmul(_sides(*_project(W, X[rows], "query"))[0], right.T, out=block)
-        top = block.max(axis=1)
-        far = top < _NORMAL_EDGE  # False for NaN
-        if far.any():
-            block[far] -= top[far, None]
-        _kernel_values(block)
-        np.matmul(block, onehot, out=S[rows])
-    S /= np.array([n0, n1], dtype=np.float64)
-    return S[:, 1] / (S[:, 0] + S[:, 1])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            W = _live_rows(_check_metric(L))
+            right = _sides(*_project(W, train.X, "feature"))[1]
+            X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+            if X.ndim != 2:
+                raise DimensionMismatchError(f"query rows must be a 2-D array, not {X.ndim}-D")
+            onehot = np.eye(2)[train.y]
+            q, n = X.shape[0], right.shape[0]
+            h = _block_height(n)
+            G = np.empty((min(h, q), n))
+            S = np.empty((q, 2))
+            for i in range(0, q, h):
+                rows, block = slice(i, i + h), G[: min(h, q - i)]
+                # the queries are projected block by block, never all at once
+                np.matmul(_sides(*_project(W, X[rows], "query"))[0], right.T, out=block)
+                top = block.max(axis=1)
+                far = top < _NORMAL_EDGE  # False for NaN
+                if far.any():
+                    block[far] -= top[far, None]
+                _kernel_values(block)
+                np.matmul(block, onehot, out=S[rows])
+            S /= np.array([n0, n1], dtype=np.float64)
+            return S[:, 1] / (S[:, 0] + S[:, 1])
+    except FloatingPointError as exc:
+        raise NumericalFailureError(f"{exc} while scoring") from None

@@ -14,6 +14,7 @@ import pytest
 
 import confmetric
 from confmetric import (
+    Dataset,
     DatasetSchema,
     ExperimentConfig,
     ModelFile,
@@ -1048,6 +1049,44 @@ class TestExperiment:
                                  "--summary", str(tmp_path / "s.csv"))
         assert (code, err) == (0, "")
         assert json.loads(out)["errors"] == 0
+
+    def test_overflowing_held_out_row_is_a_cell_error(self, tmp_path, capsys):
+        # one finite 1e200 row overflows its projection: each cell it reaches
+        # records a numerical-failure, never a nan AUROC or a numpy warning
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(60, 3))
+        y = np.arange(60) % 2
+        X[y == 1] += 2.0
+        X[7] = 1e200
+        save_csv(tmp_path / "outlier.csv", Dataset(X, y))
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "trials": 4, "train_sizes": [10], "max_iters": 5,
+            "hyper_grid": {"lambda1": [1.0]}, "methods": ["camel"],
+            "data": {"csv": {"path": str(tmp_path / "outlier.csv"),
+                             "feature_columns": ["f0", "f1", "f2"],
+                             "label_column": "label"}}}))
+        results = tmp_path / "results.csv"
+        code, out, err = run(capsys, "experiment", "--config", str(cfg), "--out",
+                             str(results), "--summary", str(tmp_path / "summary.csv"))
+        assert (code, err) == (0, "")
+        with open(results) as fh:
+            rows = list(csv.DictReader(fh))
+        errors = [r["error"] for r in rows if r["error"]]
+        assert json.loads(out)["errors"] == len(errors) > 0
+        assert all(e.startswith("numerical-failure: ") for e in errors), errors
+        assert not any(cell == "nan" for r in rows for cell in r.values())
+
+    @pytest.mark.parametrize("past_end", [0, 1], ids=["n-1", "n"])
+    def test_train_size_too_large_is_one_message(self, tmp_path, capsys, past_end):
+        cfg = experiment_config(tmp_path, train_sizes=[15, 119 + past_end])
+        code, out, err = run(capsys, "experiment", "--config", str(cfg), "--out",
+                             str(tmp_path / "r.csv"), "--summary", str(tmp_path / "s.csv"))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "validation",
+            "message": "train_n leaves fewer than 2 held-out instances",
+        }
 
     def test_proj_dim_past_intp_is_a_cell_error(self, tmp_path, capsys):
         cfg = experiment_config(tmp_path, trials=1, train_sizes=[15], proj_dim=10**30)

@@ -10,6 +10,7 @@ from confmetric import (
     Dataset,
     DegenerateClassError,
     DimensionMismatchError,
+    NumericalFailureError,
     ValidationError,
     camel_loss,
     class_similarity,
@@ -223,9 +224,11 @@ class TestBlockedKernel:
         L = 1e200 * np.eye(3)
         with np.errstate(all="ignore"):
             tiles, KB = metric._upper_tiles(L, X, np.eye(2)[y])
-            scores = positive_scores(L, Dataset(X, y), X[:7])
+            # the scorer's own rule wins over the caller's error state
+            with pytest.raises(NumericalFailureError, match="while scoring"):
+                positive_scores(L, Dataset(X, y), X[:7])
         assert all(np.isnan(T).any() for _, _, T in tiles)
-        assert np.isnan(KB).all() and np.isnan(scores).all()
+        assert np.isnan(KB).all()
 
     def test_positive_scores_across_blocks(self, tiny_blocks):
         rng = np.random.default_rng(25)
