@@ -137,14 +137,14 @@ def cmd_predict(args) -> int:
     scores = positive_scores(model.matrix, train, rows)
     labels = (scores > args.threshold).astype(int)
     write_csv(args.out, ["id", "confidence", "label"],
-              zip(ids, map(float, scores), map(int, labels)))
+              zip(ids, scores.tolist(), labels.tolist()))
     _emit({"predictions": args.out, "n": len(scores), "threshold": args.threshold})
     return 0
 
 
 def _read_feature_rows(path, feature_columns, id_column):
     X, _, _, ids = read_columns(path, feature_columns, id_column=id_column)
-    return X, (ids if id_column else [str(i) for i in range(len(X))])
+    return X, (ids if id_column else range(len(X)))
 
 
 def cmd_evaluate(args) -> int:

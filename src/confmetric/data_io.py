@@ -286,7 +286,9 @@ def _read_fast(fh, header, features, label, confidence, id_column):
             return None
     if id_column is not None:
         ids = cells[:, -1].tolist()
-    return np.ascontiguousarray(values[:, :len(features)]), y, c, ids
+    # X stays a strided view into the records, not a copy: each caller either
+    # fancy-indexes it (a copy) or hands it to BLAS, which reads the row stride
+    return values[:, :len(features)], y, c, ids
 
 
 def _read_slow(fh, features, label, confidence, id_column):
@@ -343,7 +345,13 @@ def load_csv(path, schema: DatasetSchema) -> tuple[Dataset, list[str] | None]:
 
 
 def save_csv(path, data: Dataset) -> DatasetSchema:
-    """Write a dataset to CSV with round-trip-exact float formatting."""
+    """Write a dataset to CSV with round-trip-exact float formatting.
+
+    Every cell is a Python int or float, which the csv module never quotes
+    and writes as its repr, so each line is joined here and ended with the
+    csv module's "\\r\\n": the bytes are those write_csv would write, without
+    its per-cell checks.
+    """
     schema = DatasetSchema(
         feature_columns=[f"f{j}" for j in range(data.m)],
         label_column="label",
@@ -354,7 +362,10 @@ def save_csv(path, data: Dataset) -> DatasetSchema:
     if data.c is not None:
         header.append(schema.confidence_column)
         tail.append(data.c.tolist())
-    write_csv(path, header, (x.tolist() + list(t) for x, t in zip(data.X, zip(*tail))))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, [*x, *t])) + "\r\n"
+                      for x, t in zip(data.X.tolist(), zip(*tail)))
     return schema
 
 

@@ -178,9 +178,11 @@ def _run_cell(cfg, rec, train, val, test, trial_seed) -> ResultRecord:
         val_auc = auroc(positive_scores(L, train, val.X), val.y)
         if best is None or val_auc > best[0]:
             best = (val_auc, L, tc)
-    rec.val_auroc, L, tc = best
+    val_auc, L, tc = best
+    test_auc = auroc(positive_scores(L, train, test.X), test.y)
+    # filled only once test scoring succeeds: a failed cell keeps every figure empty
+    rec.val_auroc, rec.test_auroc = val_auc, test_auc
     rec.lambda1, rec.lambda2 = float(tc.lambda1), float(tc.lambda2)  # a grid cell 4 is 4.0
-    rec.test_auroc = auroc(positive_scores(L, train, test.X), test.y)
     rec.sparsity = sparsity(L)
     rec.row_rank = row_rank(L)
     return rec

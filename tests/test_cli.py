@@ -1050,9 +1050,10 @@ class TestExperiment:
         assert (code, err) == (0, "")
         assert json.loads(out)["errors"] == 0
 
-    def test_overflowing_held_out_row_is_a_cell_error(self, tmp_path, capsys):
-        # one finite 1e200 row overflows its projection: each cell it reaches
-        # records a numerical-failure, never a nan AUROC or a numpy warning
+    @staticmethod
+    def run_outlier_experiment(tmp_path, capsys):
+        """(exit code, stdout, stderr, results.csv rows) of a camel grid on 60
+        rows of which row 7 is a finite 1e200 outlier."""
         rng = np.random.default_rng(0)
         X = rng.normal(size=(60, 3))
         y = np.arange(60) % 2
@@ -1069,13 +1070,27 @@ class TestExperiment:
         results = tmp_path / "results.csv"
         code, out, err = run(capsys, "experiment", "--config", str(cfg), "--out",
                              str(results), "--summary", str(tmp_path / "summary.csv"))
-        assert (code, err) == (0, "")
         with open(results) as fh:
-            rows = list(csv.DictReader(fh))
+            return code, out, err, list(csv.DictReader(fh))
+
+    def test_overflowing_held_out_row_is_a_cell_error(self, tmp_path, capsys):
+        # one finite 1e200 row overflows its projection: each cell it reaches
+        # records a numerical-failure, never a nan AUROC or a numpy warning
+        code, out, err, rows = self.run_outlier_experiment(tmp_path, capsys)
+        assert (code, err) == (0, "")
         errors = [r["error"] for r in rows if r["error"]]
         assert json.loads(out)["errors"] == len(errors) > 0
         assert all(e.startswith("numerical-failure: ") for e in errors), errors
         assert not any(cell == "nan" for r in rows for cell in r.values())
+
+    def test_failed_cell_keeps_no_chosen_hyperparameters(self, tmp_path, capsys):
+        # a cell that fails at test scoring is as empty as one that fails at
+        # validation: no lambda1, lambda2 or val_auroc beside its error
+        _, _, _, rows = self.run_outlier_experiment(tmp_path, capsys)
+        failed = [r for r in rows if r["error"]]
+        assert failed
+        assert all(r[k] == "" for r in failed for k in ("lambda1", "lambda2", "val_auroc")), \
+            failed
 
     @pytest.mark.parametrize("past_end", [0, 1], ids=["n-1", "n"])
     def test_train_size_too_large_is_one_message(self, tmp_path, capsys, past_end):

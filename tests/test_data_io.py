@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import re
 import sys
@@ -19,6 +21,7 @@ from confmetric import (
     ValidationError,
     auroc,
     load_csv,
+    positive_scores,
     save_csv,
     split,
     synth_generate,
@@ -281,7 +284,7 @@ class TestReadColumns:
             X, y, c, ids = data_io.read_columns(p, ["f0", "f1"], "label",
                                                 "confidence", "id")
         assert X.tolist() == [[-2.5, 1.5], [10.0, 0.002]]
-        assert X.flags.c_contiguous
+        assert not X.flags.owndata  # a view into the parsed records, not a copy
         assert (y.tolist(), c.tolist()) == ([1, 0], [0.25, 0.5])
         assert ids == ["a,b", 'say "hi"']
 
@@ -307,7 +310,7 @@ class TestReadColumns:
             X, y, c, ids = data_io.read_columns(p, ["f0", "f1"], label, confidence,
                                                 id_column)
         assert loadtxt.call_count == 1
-        assert X.tolist() == [[1.5, -2.0], [2.0, 0.03]] and X.flags.c_contiguous
+        assert X.tolist() == [[1.5, -2.0], [2.0, 0.03]] and not X.flags.owndata
         assert (y is None) == (label is None) and (c is None) == (confidence is None)
         if label is not None:
             assert (y.tolist(), c.tolist()) == ([1, 0], [0.25, 1.0])
@@ -373,7 +376,69 @@ class TestReadColumns:
         assert big_peak - small_peak < 0.1 * (big - small)
 
 
+    def test_features_with_ids_are_not_copied(self, tmp_path):
+        # predict --id-column: the ids interleave with the numbers in each
+        # parsed record, and X is a strided view of them, not a second block
+        rng = np.random.default_rng(0)
+        Q = rng.normal(size=(20_000, 20))
+        p = tmp_path / "query.csv"
+        with open(p, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["pid", *(f"f{j}" for j in range(20))],
+                                      *([f"p{i}", *q] for i, q in enumerate(Q.tolist()))])
+        tracemalloc.start()
+        try:
+            X, _, _, ids = data_io.read_columns(p, [f"f{j}" for j in range(20)],
+                                                id_column="pid")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(X, Q) and ids[-1] == "p19999"
+        assert not X.flags.c_contiguous
+        assert peak < 2 * X.nbytes  # the records and ids, not X twice
+        # BLAS reads the row stride: scoring the view is bit for bit scoring a copy
+        L = rng.normal(size=(4, 20))
+        train = Dataset(rng.normal(size=(50, 20)), np.arange(50) % 2)
+        assert np.array_equal(positive_scores(L, train, X),
+                              positive_scores(L, train, np.ascontiguousarray(X)))
+
+
+FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 1e16, 0.1, 1.0 - 2**-53, 1.0 + 2**-52]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+CONFIDENCES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 0.1, 1.0 - 2**-53, 1.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def datasets(draw):
+    """A small Dataset of extreme and ordinary finite floats, with or
+    without confidences."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    X = draw(st.lists(FLOATS, min_size=n * m, max_size=n * m))
+    y = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    c = draw(st.none() | st.lists(CONFIDENCES, min_size=n, max_size=n))
+    return Dataset(np.reshape(X, (n, m)), y, c)
+
+
 class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(data=datasets())
+    def test_save_writes_what_csv_writer_writes(self, tmp_path_factory, data):
+        # save_csv joins its rows itself; the bytes must be the csv module's
+        p = tmp_path_factory.getbasetemp() / "saved.csv"
+        schema = save_csv(p, data)
+        header = [*schema.feature_columns, schema.label_column,
+                  *([schema.confidence_column] if data.c is not None else [])]
+        rows = [x.tolist() + [int(data.y[i])]
+                + ([float(data.c[i])] if data.c is not None else [])
+                for i, x in enumerate(data.X)]
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows([header, *rows])
+        assert p.read_bytes() == buf.getvalue().encode("utf-8")
+
     def test_save_then_load_is_identity(self, tmp_path):
         rng = np.random.default_rng(0)
         data = Dataset(rng.normal(size=(20, 4)), rng.integers(0, 2, 20), rng.uniform(size=20))
