@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -20,6 +21,7 @@ from .data_io import (
     _require_columns,
     config_from_dict,
     load_csv,
+    read_chunks,
     read_columns,
     read_header,
     read_json,
@@ -44,7 +46,7 @@ from .experiment import (
     write_results_csv,
     write_summary_csv,
 )
-from .metric import positive_scores
+from .metric import _chunk_height, positive_scores
 from .model_io import ModelFile, load_model, save_model
 from .optimize import TraceRecord, TrainConfig, fit
 
@@ -131,20 +133,31 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     schema = _schema_from_flags(args.data, args)
     model.check_compatible(schema.feature_columns)
-    # labels are not needed for scoring; parse features and optional ids only
-    rows, ids = _read_feature_rows(args.data, schema.feature_columns, args.id_column)
     train = Dataset(model.train_X, model.train_y)
-    scores = positive_scores(model.matrix, train, rows)
-    labels = (scores > args.threshold).astype(int)
-    write_csv(args.out, ["id", "confidence", "label"],
-              zip(ids, scores.tolist(), labels.tolist()))
-    _emit({"predictions": args.out, "n": len(scores), "threshold": args.threshold})
+    # labels are not needed for scoring; features and optional ids are parsed
+    # a chunk of rows at a time, and only each chunk's ids and scores are kept
+    chunks = read_chunks(args.data, schema.feature_columns, id_column=args.id_column,
+                         rows=_chunk_height(train.n))
+    parts, n = [], 0
+    while True:
+        rows, ids = _read_feature_rows(chunks, n)
+        if not len(rows):
+            break
+        parts.append((ids, positive_scores(model.matrix, train, rows)))
+        n += len(rows)
+    # written only once every chunk is scored: a bad row anywhere writes nothing
+    write_csv(args.out, ["id", "confidence", "label"], itertools.chain.from_iterable(
+        zip(ids, scores.tolist(), (scores > args.threshold).astype(int).tolist())
+        for ids, scores in parts))
+    _emit({"predictions": args.out, "n": n, "threshold": args.threshold})
     return 0
 
 
-def _read_feature_rows(path, feature_columns, id_column):
-    X, _, _, ids = read_columns(path, feature_columns, id_column=id_column)
-    return X, (ids if id_column else range(len(X)))
+def _read_feature_rows(chunks, start):
+    """The next chunk's feature rows and ids, which are the row numbers from
+    start without --id-column; no rows once the chunks are spent."""
+    X, _, _, ids = next(chunks, (np.empty((0, 0)), None, None, ()))
+    return X, (ids if ids is not None else range(start, start + len(X)))
 
 
 def cmd_evaluate(args) -> int:

@@ -11,6 +11,10 @@ vouch for a file, the row parser reads the file again from its start, and
 it alone raises the errors that name a row, a column and the offending
 text. Every reader streams the file: none holds its bytes, so the memory a
 read takes is the arrays it returns plus a few fixed-size buffers.
+``read_chunks`` returns those arrays a chunk of rows at a time, by repeated
+C-reader calls on one open file, so a caller that keeps only what it makes of
+each chunk holds one chunk of rows however long the file; ``read_columns``
+is its one-chunk case.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ _SPLIT_STREAM = 2
 _LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 1}
 # numpy's float parser strips these ASCII separators as whitespace; float() does not
 _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-# bytes read at a time when a file is searched for _NUMPY_ONLY_SPACE
-_SCAN_CHUNK = 1 << 20
+# bytes read at a time, into one reused buffer, when a file is searched for
+# _NUMPY_ONLY_SPACE
+_SCAN_CHUNK = 1 << 16
 
 
 @contextlib.contextmanager
@@ -216,48 +221,80 @@ def read_columns(path, features, label=None, confidence=None, id_column=None):
     confidence cell is empty; and the id cells as strings. y, c and ids are
     None when their column is not asked for.
 
-    The file is streamed, never held whole. It is first searched, chunk by
-    chunk, for the bytes numpy's float parser strips but float() does not;
-    a file with none goes to numpy's C reader, which parses the cells from
-    the open file. If that reader fails, or a cell is not finite, a label is
-    not exactly "0" or "1" or a confidence is empty or outside [0, 1], the
-    row parser rereads the file from its start. It returns the same values
-    bit for bit, or raises the ValidationError that names the first bad row,
-    column and text. A file with no data rows is a ValidationError too, and
-    one that cannot be reread, such as a pipe, is an OSError.
+    This is ``read_chunks`` with the whole file as one chunk: one np.loadtxt
+    call parses a well-formed file.
     """
+    (columns,) = read_chunks(path, features, label, confidence, id_column)
+    return columns
+
+
+def read_chunks(path, features, label=None, confidence=None, id_column=None, rows=None):
+    """Yield the named columns of a CSV file as read_columns returns them, a
+    chunk of at most ``rows`` rows at a time (all of them with None).
+
+    The file is streamed, never held whole. It is first searched, piece by
+    piece, for the bytes numpy's float parser strips but float() does not;
+    a file with none goes to numpy's C reader, which parses each chunk from
+    the one open file. If that reader fails, or a cell is not finite, a label
+    is not exactly "0" or "1" or a confidence is empty or outside [0, 1], the
+    row parser rereads the file from its start. It yields the rows not yet
+    yielded, the same values bit for bit, or raises the ValidationError that
+    names the first bad row, column and text. A file with no data rows is a
+    ValidationError too, and one that cannot be reread, such as a pipe, is
+    an OSError.
+
+    A fault past the chunks already yielded still raises, so what a caller
+    makes of the chunks stands only once the iteration ends.
+    """
+    yielded = False
+    for chunk in _chunks(path, features, label, confidence, id_column, rows):
+        yielded = True
+        yield chunk
+    if not yielded:
+        raise ValidationError(f"{path}: no data rows")
+
+
+def _chunks(path, features, label, confidence, id_column, rows):
+    """read_chunks' chunks, none of them empty."""
     with open(path, newline="", encoding="utf-8") as fh, decoding_errors(path):
         if not fh.seekable():  # the file is searched, then parsed: a pipe is read once
             raise OSError(f"{path}: a CSV input must be a seekable file, not a pipe")
         header = next(csv.reader(fh), [])
         _require_columns(header, [c for c in (*features, label, confidence, id_column)
                                   if c is not None])
-        rows = None
+        done = 0
         if not _has_numpy_only_space(path):
-            rows = _read_fast(fh, header, features, label, confidence, id_column)
-        if rows is None:
-            fh.seek(0)
-            rows = _read_slow(fh, features, label, confidence, id_column)
-    if not len(rows[0]):
-        raise ValidationError(f"{path}: no data rows")
-    return rows
+            while chunk := _read_fast(fh, header, features, label, confidence, id_column,
+                                      rows):
+                got = len(chunk[0])
+                if got:
+                    yield chunk
+                    done += got
+                if rows is None or got < rows:
+                    return
+        fh.seek(0)
+        yield from _read_slow(fh, features, label, confidence, id_column, rows, done)
 
 
 def _has_numpy_only_space(path) -> bool:
     """True when the file holds a byte of _NUMPY_ONLY_SPACE. The file is read
-    in _SCAN_CHUNK pieces: each such byte is one that no multi-byte UTF-8
-    sequence contains, so every way of cutting the file finds the same ones."""
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_SCAN_CHUNK):
-            if any(ch in chunk for ch in _NUMPY_ONLY_SPACE):
+    into one reused _SCAN_CHUNK buffer: each such byte is one that no
+    multi-byte UTF-8 sequence contains, so every way of cutting the file
+    finds the same ones."""
+    buf = bytearray(_SCAN_CHUNK)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buf):
+            if any(buf.find(ch, 0, size) >= 0 for ch in _NUMPY_ONLY_SPACE):
                 return True
     return False
 
 
-def _read_fast(fh, header, features, label, confidence, id_column):
-    """The columns by one np.loadtxt pass, or None when anything needs the
-    row parser. Each row is a record of its numeric cells as float64 and its
-    text cells (label, id) as objects; either part may have no column."""
+def _read_fast(fh, header, features, label, confidence, id_column, rows):
+    """The columns of fh's next ``rows`` rows (every row left with None) by
+    one np.loadtxt call, or None when anything needs the row parser. Each
+    row is a record of its numeric cells as float64 and its text cells
+    (label, id) as objects; either part may have no column. np.loadtxt
+    leaves fh just past the last row it returns."""
     # a repeated name stands for its last column, as in csv.DictReader
     col = {name: j for j, name in enumerate(header)}
     numeric = [*features, *([confidence] if confidence is not None else [])]
@@ -266,12 +303,12 @@ def _read_fast(fh, header, features, label, confidence, id_column):
     record = np.dtype([("num", np.float64, (len(numeric),)), ("text", object, (len(text),))])
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a header-only file has no data
-            rows = np.loadtxt(fh, usecols=[col[c] for c in (*numeric, *text)],
-                              dtype=record, **_LOADTXT)
+            warnings.simplefilter("ignore", UserWarning)  # no rows left: no data
+            records = np.loadtxt(fh, usecols=[col[c] for c in (*numeric, *text)],
+                                 dtype=record, max_rows=rows, **_LOADTXT)
     except ValueError:
         return None
-    values, cells = rows["num"], rows["text"]
+    values, cells = records["num"], records["text"]
     if not np.isfinite(values).all():
         return None
     y = c = ids = None
@@ -291,45 +328,66 @@ def _read_fast(fh, header, features, label, confidence, id_column):
     return values[:, :len(features)], y, c, ids
 
 
-def _read_slow(fh, features, label, confidence, id_column):
-    """The columns by csv.DictReader and float(), one row at a time."""
-    X_rows, labels, confs, ids = [], [], [], []
+def _read_slow(fh, features, label, confidence, id_column, rows, skip):
+    """The columns by csv.DictReader and float(), one row at a time, in
+    chunks of ``rows`` rows (all of them with None) after the first ``skip``.
+    Every row is checked, so the first bad one raises wherever it is.
+
+    Confidences are all present or all empty. Once both are met no row is
+    kept, but the rest are still checked before the mix raises.
+    """
+    kept = []
+    first_empty, present = None, False  # among the confidence cells so far
     for rownum, row in enumerate(csv.DictReader(fh), start=2):  # header is line 1
-        X_rows.append(_parse_numbers(row, features, rownum))
-        if label is not None:
-            text = row[label]
-            if text not in ("0", "1"):
-                raise ValidationError(
-                    f"row {rownum}, column {label!r}: label must be 0 or 1, got {text!r}"
-                )
-            labels.append(int(text))
+        cells = _parse_row(row, rownum, features, label, confidence, id_column)
         if confidence is not None:
-            text = row[confidence]
-            if text == "" or text is None:
-                confs.append(None)
+            if cells[2] is None:
+                first_empty = first_empty or rownum
             else:
-                (v,) = _parse_numbers(row, [confidence], rownum)
-                if not 0.0 <= v <= 1.0:
-                    raise ValidationError(
-                        f"row {rownum}, column {confidence!r}: "
-                        f"confidence {text!r} outside [0, 1]"
-                    )
-                confs.append(v)
-        if id_column is not None:
-            ids.append(row[id_column])
-    c = None
-    if confidence is not None:
-        present = [v is not None for v in confs]
-        if all(present):
-            c = np.array(confs, dtype=np.float64)
-        elif any(present):
-            bad = present.index(False) + 2
+                present = True
+        if rownum - 2 >= skip and not (first_empty and present):
+            kept.append(cells)
+            if len(kept) == rows:
+                yield _columns(kept, len(features), label, confidence, id_column)
+                kept = []
+    if first_empty and present:
+        raise ValidationError(
+            f"confidence column is partially populated (first empty at row {first_empty})"
+        )
+    if kept:
+        yield _columns(kept, len(features), label, confidence, id_column)
+
+
+def _parse_row(row: dict, rownum: int, features, label, confidence, id_column):
+    """(features, label, confidence, id) of one csv.DictReader row, None for
+    a column not asked for and for an empty confidence."""
+    x = _parse_numbers(row, features, rownum)
+    y = c = None
+    if label is not None:
+        text = row[label]
+        if text not in ("0", "1"):
             raise ValidationError(
-                f"confidence column is partially populated (first empty at row {bad})"
+                f"row {rownum}, column {label!r}: label must be 0 or 1, got {text!r}"
             )
-    X = np.array(X_rows, dtype=np.float64).reshape(len(X_rows), len(features))
+        y = int(text)
+    if confidence is not None and row[confidence] not in ("", None):
+        (c,) = _parse_numbers(row, [confidence], rownum)
+        if not 0.0 <= c <= 1.0:
+            raise ValidationError(
+                f"row {rownum}, column {confidence!r}: "
+                f"confidence {row[confidence]!r} outside [0, 1]"
+            )
+    return x, y, c, (row[id_column] if id_column is not None else None)
+
+
+def _columns(kept, m: int, label, confidence, id_column):
+    """(X, y, c, ids) of rows from _parse_row, whose confidences are all
+    present or all empty."""
+    X_rows, labels, confs, ids = zip(*kept)
+    X = np.array(X_rows, dtype=np.float64).reshape(len(kept), m)
     y = np.array(labels, dtype=np.int64) if label is not None else None
-    return X, y, c, (ids if id_column is not None else None)
+    c = np.array(confs, dtype=np.float64) if confs[0] is not None else None
+    return X, y, c, (list(ids) if id_column is not None else None)
 
 
 def load_csv(path, schema: DatasetSchema) -> tuple[Dataset, list[str] | None]:

@@ -15,11 +15,14 @@ There are two kernel builders, one per job, and neither forms a full kernel.
 Both project through ``_project`` with L less its all-zero rows
 (``_live_rows``, found once per call): each such row adds exactly 0 to every
 distance, so L and L less those rows give the same bits.
-Both take -d2 from one product of the two ``_sides`` arrays, then clip it
-at 0 and take ``exp`` in place (``_kernel_values``), with no d2 array.
-``positive_scores`` projects the queries and takes that product in row blocks
-of about ``_BLOCK_BYTES`` each, turns each block into kernel values while it
-is in cache and keeps only the block's two class sums.
+Both take -d2 from one product of a ``_left_side`` and a ``_right_side``
+array, then clip it at 0 and take ``exp`` in place (``_kernel_values``),
+with no d2 array. ``positive_scores`` builds only the reference rows' right
+side, projects the queries and takes that product in row blocks of about
+``_BLOCK_BYTES`` each, turns each block into kernel values while it is in
+cache and keeps only the block's two class sums. A caller that scores a
+batch chunk by chunk takes ``_chunk_height`` rows a chunk, whole blocks, and
+gets the bits of one call over the batch.
 
 The training kernel, which fitting rebuilds at every loss evaluation, is
 symmetric, so ``_upper_tiles`` builds only its square tiles at or above the
@@ -95,6 +98,8 @@ def kernel_similarity(L, a, b) -> float:
 
 # bytes of one row block or square tile: a few of these stay in L2 cache
 _BLOCK_BYTES = 512 * 1024
+# rows of a query chunk, about: _chunk_height rounds it to whole blocks
+_CHUNK_ROWS = 4096
 # np.exp(-d2) is exactly 0.0 for every d2 at or above this
 _EXP_ZERO = 746.0
 # np.exp(x) is subnormal or 0.0 for every x below this, about -708.4
@@ -116,23 +121,40 @@ def _project(W, X, what: str):
     return Z, np.einsum("ij,ij->i", Z, Z)
 
 
-def _sides(Z, sq) -> tuple[np.ndarray, np.ndarray]:
-    """[Z, sq, 1] and [2Z, -1, -sq] for rows Z of squared norms sq; one
-    product of the two gives 2 w.z - |w|^2 - |z|^2 = -||w - z||^2."""
+def _left_side(Z, sq) -> np.ndarray:
+    """[Z, sq, 1] for rows Z of squared norms sq; its product with the
+    ``_right_side`` of rows W gives 2 w.z - |w|^2 - |z|^2 = -||w - z||^2."""
     n, k = Z.shape
-    left, right = np.empty((n, k + 2)), np.empty((n, k + 2))
+    left = np.empty((n, k + 2))
     left[:, :k] = Z
     left[:, k] = sq
     left[:, k + 1] = 1.0
+    return left
+
+
+def _right_side(Z, sq) -> np.ndarray:
+    """[2Z, -1, -sq] for rows Z of squared norms sq: see ``_left_side``."""
+    n, k = Z.shape
+    right = np.empty((n, k + 2))
     np.multiply(Z, 2.0, out=right[:, :k])
     right[:, k] = -1.0
     np.negative(sq, out=right[:, k + 1])
-    return left, right
+    return right
 
 
 def _block_height(cols: int) -> int:
     """Rows per block: about _BLOCK_BYTES of float64 at cols columns."""
     return max(1, _BLOCK_BYTES // (8 * max(cols, 1)))
+
+
+def _chunk_height(n: int) -> int:
+    """Query rows per chunk for a caller that scores a batch in chunks
+    against n reference rows: the most whole row blocks of ``positive_scores``
+    that fit in _CHUNK_ROWS rows, and at least one. Chunk by chunk, every
+    block is the block that scoring the batch whole forms, so every score
+    is the same bits."""
+    h = _block_height(n)
+    return h * max(1, _CHUNK_ROWS // h)
 
 
 def _kernel_values(G: np.ndarray) -> None:
@@ -170,8 +192,8 @@ def _upper_tiles(L, X, B) -> tuple[list[tuple[slice, slice, np.ndarray]], np.nda
 
     Returns (rows, cols, K[rows, cols]) for every tile at or above the
     diagonal, in row-major order, carved from one packed buffer. Each tile
-    is built and used while it is in cache: one product of the two
-    ``_sides``, ``_kernel_values``, and its ``_shares`` of K @ B. The tiles
+    is built and used while it is in cache: one product of the rows'
+    ``_left_side`` and ``_right_side``, ``_kernel_values``, and its ``_shares`` of K @ B. The tiles
     hold (n^2 + n * side) / 2 floats at most.
 
     One buffer, as a fit calls this at every loss evaluation: with an array
@@ -179,7 +201,8 @@ def _upper_tiles(L, X, B) -> tuple[list[tuple[slice, slice, np.ndarray]], np.nda
     and ``train-rank`` ran slower in 4 of 4 process pairs (wall median
     0.224 -> 0.322 s, 2 CPUs, one BLAS thread).
     """
-    left, right = _sides(*_project(_live_rows(L), X, "feature"))
+    Z, sq = _project(_live_rows(L), X, "feature")
+    left, right = _left_side(Z, sq), _right_side(Z, sq)
     n, side = left.shape[0], math.isqrt(_BLOCK_BYTES // 8)
     edge = n % side  # the last tile row's height, when it is partial
     # the tiles over i <= j hold (n^2 + sum of squared tile heights) / 2 floats
@@ -279,7 +302,7 @@ def positive_scores(L, train: Dataset, X) -> np.ndarray:
     try:
         with np.errstate(over="raise", invalid="raise"):
             W = _live_rows(_check_metric(L))
-            right = _sides(*_project(W, train.X, "feature"))[1]
+            right = _right_side(*_project(W, train.X, "feature"))
             X = np.atleast_2d(np.asarray(X, dtype=np.float64))
             if X.ndim != 2:
                 raise DimensionMismatchError(f"query rows must be a 2-D array, not {X.ndim}-D")
@@ -291,7 +314,7 @@ def positive_scores(L, train: Dataset, X) -> np.ndarray:
             for i in range(0, q, h):
                 rows, block = slice(i, i + h), G[: min(h, q - i)]
                 # the queries are projected block by block, never all at once
-                np.matmul(_sides(*_project(W, X[rows], "query"))[0], right.T, out=block)
+                np.matmul(_left_side(*_project(W, X[rows], "query")), right.T, out=block)
                 top = block.max(axis=1)
                 far = top < _NORMAL_EDGE  # False for NaN
                 if far.any():

@@ -6,8 +6,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from confmetric import (
     SynthConfig,
     TrainConfig,
     ValidationError,
+    load_model,
+    positive_scores,
     run_experiment,
     save_csv,
     save_model,
@@ -29,7 +33,10 @@ from confmetric import (
     synth_generate,
     write_summary_csv,
 )
+from confmetric import cli
 from confmetric.cli import main
+from confmetric.data_io import write_csv
+from confmetric.metric import _chunk_height
 
 
 def run(capsys, *argv):
@@ -295,6 +302,88 @@ class TestTrainPredictEvaluate:
         assert code == 1
         assert json.loads(err)["error"] == "io"
 
+
+
+class TestChunkedPredict:
+    """predict reads and scores its query file a chunk of rows at a time."""
+
+    @staticmethod
+    def reference_model(tmp_path, n=2000, m=3):
+        """A model file of n random reference rows, with no fit."""
+        rng = np.random.default_rng(0)
+        path = tmp_path / "m.json"
+        save_model(path, ModelFile(rng.normal(size=(2, m)), [f"f{j}" for j in range(m)],
+                                   {}, train_X=rng.normal(size=(n, m)),
+                                   train_y=np.arange(n) % 2))
+        return path
+
+    def test_chunks_write_what_one_call_scores(self, tmp_path, capsys):
+        # 2 whole chunks and a partial one; the ids on either side of the
+        # first boundary hold quoted line breaks
+        model = self.reference_model(tmp_path)
+        k = _chunk_height(2000)
+        Q = np.random.default_rng(1).normal(size=(2 * k + 37, 3))
+        ids = [f"p{i}" for i in range(len(Q))]
+        ids[k - 1], ids[k] = "end of\r\nchunk 0", 'start of\r\n"chunk" 1'
+        data = tmp_path / "q.csv"
+        with open(data, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["pid", "f0", "f1", "f2"],
+                                      *([i, *x] for i, x in zip(ids, Q.tolist()))])
+        preds = tmp_path / "p.csv"
+        with mock.patch.object(cli, "positive_scores", wraps=positive_scores) as scorer:
+            code, out, err = run(capsys, "predict", "--model", str(model), "--data",
+                                 str(data), "--id-column", "pid", "--out", str(preds))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n"] == len(Q)
+        assert [len(c.args[2]) for c in scorer.call_args_list] == [k, k, 37]
+        loaded = load_model(model)
+        scores = positive_scores(loaded.matrix, Dataset(loaded.train_X, loaded.train_y), Q)
+        expected = tmp_path / "expected.csv"
+        write_csv(expected, ["id", "confidence", "label"],
+                  zip(ids, scores.tolist(), (scores > 0.5).astype(int).tolist()))
+        assert preds.read_bytes() == expected.read_bytes()
+
+    def test_bad_cell_in_the_last_chunk_writes_nothing(self, tmp_path, capsys):
+        model = self.reference_model(tmp_path)
+        k = _chunk_height(2000)
+        rows = [[repr(v) for v in x]
+                for x in np.random.default_rng(2).normal(size=(2 * k + 5, 3)).tolist()]
+        rows[-2][1] = "inf"
+        data = tmp_path / "q.csv"
+        data.write_text("f0,f1,f2\n" + "".join(",".join(r) + "\n" for r in rows))
+        preds = tmp_path / "p.csv"
+        preds.write_text("an earlier run's predictions\n")
+        with mock.patch.object(cli, "positive_scores", wraps=positive_scores) as scorer:
+            code, out, err = run(capsys, "predict", "--model", str(model), "--data",
+                                 str(data), "--out", str(preds))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "validation",
+            "message": f"row {2 * k + 5}, column 'f1': 'inf' is not a finite number"}
+        assert scorer.call_count == 2  # the chunks before it were scored
+        assert preds.read_text() == "an earlier run's predictions\n"
+
+    def test_memory_does_not_grow_with_the_batch(self, tmp_path, capsys):
+        # 4x the rows: only the scores, 8 bytes a row, may grow with them
+        m = 20
+        model = self.reference_model(tmp_path, n=50, m=m)
+        rng = np.random.default_rng(3)
+
+        def traced(q):
+            data = tmp_path / f"q{q}.csv"
+            save_csv(data, Dataset(rng.normal(size=(q, m)), np.arange(q) % 2))
+            tracemalloc.start()
+            try:
+                code, _, err = run(capsys, "predict", "--model", str(model), "--data",
+                                   str(data), "--out", str(tmp_path / "p.csv"))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, err) == (0, "")
+            return peak
+
+        small, big = traced(10_000), traced(40_000)
+        assert big - small < 0.25 * 30_000 * m * 8
 
 def trained_model(tmp_path, capsys):
     data = make_data(tmp_path, capsys)

@@ -173,6 +173,30 @@ def read_both(path, *args):
     return outcomes
 
 
+def read_chunked(path, rows, *args):
+    """read_chunks as it runs, and with the row parser alone: each the list
+    of chunks it yielded and the (type, text) of what it raised, or None."""
+    outcomes = []
+    for fast in (data_io._read_fast, lambda *a: None):
+        with mock.patch.object(data_io, "_read_fast", fast):
+            chunks, end = [], None
+            try:
+                chunks.extend(data_io.read_chunks(path, *args, rows=rows))
+            except Exception as exc:
+                end = (type(exc), str(exc))
+            outcomes.append((chunks, end))
+    return outcomes
+
+
+def joined(chunks):
+    """One (X, y, c, ids) of the rows of chunks in order."""
+    def join(part):
+        return None if chunks[0][part] is None else np.concatenate(
+            [chunk[part] for chunk in chunks])
+    ids = None if chunks[0][3] is None else [i for chunk in chunks for i in chunk[3]]
+    return join(0), join(1), join(2), ids
+
+
 def assert_same(fast, slow):
     if isinstance(slow[0], type):
         assert fast == slow
@@ -258,6 +282,35 @@ class TestReadColumns:
         fast, slow = read_both(path, features, label, confidence, id_column)
         assert_same(fast, slow)
 
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_files(), label=st.sampled_from([None, "label"]),
+           confidence=st.sampled_from([None, "confidence"]),
+           id_column=st.sampled_from([None, "id"]),
+           features=st.sampled_from([[], ["f0"], ["f1", "f0"], ["f0", "f1"]]),
+           rows=st.integers(1, 3))
+    def test_chunked_fast_path_equals_row_parser(self, tmp_path_factory, text, label,
+                                                 confidence, id_column, features, rows):
+        # every chunk boundary: the fast path's chunks, and the row parser's
+        # after a fallback, are the row parser's alone; together they are
+        # the one-chunk read, and they end in the error it raises
+        path = tmp_path_factory.getbasetemp() / "chunked.csv"
+        path.write_bytes(text.encode("utf-8"))
+        args = (features, label, confidence, id_column)
+        (fast, fast_end), (slow, slow_end) = read_chunked(path, rows, *args)
+        assert fast_end == slow_end and len(fast) == len(slow)
+        for a, b in zip(fast, slow):
+            assert_same(a, b)
+        assert all(len(chunk[0]) == rows for chunk in slow[:-1])
+        assert 0 < len(slow[-1][0]) <= rows if slow else slow_end is not None
+        # confidences all present or all empty, also in chunks before an error
+        assert len({chunk[2] is None for chunk in slow}) <= 1
+        assert all(np.isfinite(chunk[2]).all() for chunk in slow if chunk[2] is not None)
+        whole = read_both(path, *args)[1]
+        if slow_end is None:
+            assert_same(joined(slow), whole)
+        else:
+            assert whole == slow_end
+
     @pytest.mark.parametrize("column, text", [
         *(("f1", t) for t in ODD_NUMBERS),
         *(("label", t) for t in ODD_LABELS),
@@ -340,6 +393,19 @@ class TestReadColumns:
         p, _ = self.past_the_scan_chunk(tmp_path, b"2,3,0,\xff\xfe\n")
         with pytest.raises(ValidationError, match=f"^{re.escape(str(p))} is not UTF-8 text"):
             data_io.read_columns(p, ["f0", "f1"], "label")
+
+    def test_scan_holds_one_piece(self, tmp_path):
+        # the search reads every piece into one buffer: no two pieces at once
+        p = tmp_path / "long.csv"
+        p.write_bytes(b"0.5,-1,1\n" * (20 * data_io._SCAN_CHUNK // 9))
+        tracemalloc.start()
+        try:
+            found = data_io._has_numpy_only_space(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not found
+        assert peak < 1.5 * data_io._SCAN_CHUNK
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
     def test_a_pipe_is_refused(self):
