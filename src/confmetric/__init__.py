@@ -31,7 +31,6 @@ from .evaluate import (
     sparsity,
 )
 from .metric import (
-    class_similarity,
     confidence_score,
     kernel_similarity,
     positive_scores,
@@ -44,7 +43,6 @@ from .objective import (
     build_ranking_pairs,
     camel_cl_loss,
     camel_loss,
-    margin,
     similarity_scores,
     smooth_gradient,
 )
@@ -65,11 +63,11 @@ __all__ = [
     "summarize", "write_results_csv", "write_summary_csv",
     "FeatureWeightStats", "auroc", "feature_weight_stats",
     "heatmap_matrix", "n_zero_rows", "row_rank", "sparsity",
-    "class_similarity", "confidence_score", "kernel_similarity",
+    "confidence_score", "kernel_similarity",
     "positive_scores", "similarity_scores", "squared_distance",
     "ModelFile", "load_model", "save_model", "schema_fingerprint",
     "LossBreakdown", "RankingPairs",
-    "build_ranking_pairs", "camel_cl_loss", "camel_loss", "margin",
+    "build_ranking_pairs", "camel_cl_loss", "camel_loss",
     "smooth_gradient",
     "TrainConfig", "TrainTrace", "fit", "init_metric", "soft_threshold",
 ]

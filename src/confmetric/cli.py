@@ -11,6 +11,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -77,11 +78,18 @@ def _schema_from_flags(path, args) -> DatasetSchema:
     )
 
 
-def _config_from_args(cls, args):
-    """cls built by field name from the flags given; a flag left out is absent
+def _given_fields(cls, args) -> dict:
+    """cls's fields by name, from the flags given; a flag left out is absent
     from args (argparse.SUPPRESS), so the dataclass supplies its default."""
-    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
-                  if hasattr(args, f.name)})
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+            if hasattr(args, f.name)}
+
+
+def _distinct_outputs(args, first, second):
+    """Two output flags naming one file would leave only the later write."""
+    if os.path.realpath(getattr(args, first)) == os.path.realpath(getattr(args, second)):
+        raise ValidationError(f"--{first} and --{second} name one file: "
+                              f"{getattr(args, second)}")
 
 
 def _add_schema_flags(p):
@@ -96,10 +104,11 @@ def _add_schema_flags(p):
 
 
 def cmd_train(args) -> int:
+    _distinct_outputs(args, "out", "trace")
     schema = _schema_from_flags(args.data, args)
     # a model keeps no ids: the id column is checked in the header, not parsed
     data, _ = load_csv(args.data, dataclasses.replace(schema, id_column=None))
-    cfg = _config_from_args(TrainConfig, args)
+    cfg = TrainConfig(**_given_fields(TrainConfig, args))
     L, trace = fit(data, cfg)
     model = ModelFile(
         matrix=L,
@@ -174,6 +183,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    _distinct_outputs(args, "out", "summary")
     cfg = ExperimentConfig.from_dict(read_json(args.config, "invalid experiment config"))
     records = run_experiment(cfg)
     write_results_csv(args.out, records)
@@ -189,11 +199,15 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    given = _given_fields(SynthConfig, args)
     if args.config:
+        if given:
+            flags = [args.flag_of[k] for k in given]
+            raise ValidationError(f"--config cannot be combined with {', '.join(flags)}")
         cfg = config_from_dict(SynthConfig, read_json(args.config, "invalid synth config"),
                                "synth config")
     else:
-        cfg = _config_from_args(SynthConfig, args)
+        cfg = SynthConfig(**{"n": 400, "m": 10, "m_informative": 2, **given})
     data, _ = synth_generate(cfg)
     save_csv(args.out, data)
     _emit({"data": args.out, "n": data.n, "m": data.m})
@@ -201,6 +215,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    _distinct_outputs(args, "heatmap", "stats")
     model = load_model(args.model)
     L = model.matrix
     write_csv(args.heatmap, None, heatmap_matrix(L).tolist())
@@ -270,16 +285,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--config", default=None, help="JSON file of generator settings")
-    p.add_argument("--n", type=int, default=400)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--m-informative", dest="m_informative", type=int, default=2)
+    p.add_argument("--n", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument("--m-informative", dest="m_informative", type=int)
     p.add_argument("--balance", dest="class_balance", metavar="BALANCE", type=float)
     p.add_argument("--separation", dest="cluster_separation", metavar="SEPARATION",
                    type=float)
     p.add_argument("--noise", dest="confidence_noise", metavar="NOISE", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", default="data.csv")
-    p.set_defaults(func=cmd_synth)
+    # each option's flag by its dest, so an error names the flag as typed
+    p.set_defaults(func=cmd_synth, flag_of={a.dest: a.option_strings[0] for a in p._actions})
 
     p = sub.add_parser("inspect", help="structural statistics of a model file")
     p.add_argument("--model", required=True)

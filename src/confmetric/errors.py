@@ -25,7 +25,7 @@ class MissingSupervisionError(ConfmetricError):
 
 
 class NumericalFailureError(ConfmetricError):
-    """The optimizer produced a non-finite loss."""
+    """Fitting or scoring met a non-finite value or an overflow."""
 
     code = "numerical-failure"
 

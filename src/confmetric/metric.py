@@ -35,7 +35,6 @@ never forms an n x n array. ``_shares`` is the one mirror rule for both: an
 off-diagonal tile K_ij also serves as K_ji = K_ij^T. A diagonal tile is
 symmetric only to the last bit, as entries (i, j) and (j, i) add the two
 norms in opposite order.
-``class_similarity`` projects row differences through ``_project`` too.
 
 The training rows, their labels and their classes belong to
 ``objective.Objective``. ``_upper_tiles`` gets its label-sorted rows and
@@ -251,18 +250,6 @@ def _class_products(tiles, n0, Pt) -> np.ndarray:
                 if a < b:
                     out[c, :, dst] += Pt[:, a:b] @ A.T[a - src.start : b - src.start]
     return out
-
-
-def class_similarity(L, data: Dataset, i: int, y: int) -> float:
-    """Mean similarity of instance i to all other label-y instances."""
-    if not 0 <= i < data.n:
-        raise DimensionMismatchError(f"index {i} out of range for n={data.n}")
-    mask = data.y == y
-    mask[i] = False
-    if not mask.any():
-        raise DegenerateClassError(f"no instances of class {y} besides instance {i}")
-    _, d2 = _project(_live_rows(_check_metric(L)), data.X[mask] - data.X[i], "feature")
-    return float(np.exp(-d2).mean())
 
 
 def confidence_score(s_y: float, s_not_y: float) -> float:

@@ -32,7 +32,7 @@ from below without building a kernel, which lets the line search reject a
 trial whose L1 term alone already loses. ``camel_loss``, ``camel_cl_loss``
 and ``smooth_gradient`` are one-shot wrappers over it; ``camel_loss`` is
 the ranking variant at lambda2 = 0. ``similarity_scores`` gives the
-objective's own class means in the caller's row order, for ``margin``.
+objective's own class means in the caller's row order.
 
 The hinge never lists its pairs when fitting. Order a class once by
 (margin, confidence) and once by (confidence, margin): an instance's
@@ -140,15 +140,6 @@ def similarity_scores(L, data: Dataset) -> np.ndarray:
     S = np.empty((data.n, 2))
     S[objective.order] = objective.value(L)[1].KB / objective.counts
     return S
-
-
-def margin(L, data: Dataset, i: int) -> float:
-    """Own-class similarity score minus opposite-class score for instance i."""
-    if not 0 <= i < data.n:
-        raise DimensionMismatchError(f"index {i} out of range for n={data.n}")
-    S = similarity_scores(L, data)
-    yi = data.y[i]
-    return float(S[i, yi] - S[i, 1 - yi])
 
 
 def _label_entries(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -45,6 +45,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def train_bytes(tmp_path, capsys, data, *flags):
+    """The model and trace bytes of a train run on data, written to
+    model.json and trace.csv in tmp_path."""
+    model, trace = tmp_path / "model.json", tmp_path / "trace.csv"
+    code, _, err = run(capsys, "train", "--data", str(data), *flags,
+                       "--out", str(model), "--trace", str(trace))
+    assert (code, err) == (0, "")
+    return model.read_bytes(), trace.read_bytes()
+
+
 def make_data(tmp_path, capsys, name="data.csv", n=60, noise=0.05, seed=0):
     path = tmp_path / name
     code, out, _ = run(
@@ -157,14 +167,17 @@ class TestTrainPredictEvaluate:
         assert code == 0
 
     def test_train_parses_no_id_column(self, tmp_path, capsys, monkeypatch):
-        # the model keeps no ids, so train reads the pid column in the
-        # header only, and the fit is the one without the column
-        with open(make_data(tmp_path, capsys), newline="") as fh:
+        # the model keeps no ids, so train reads the pid column in the header
+        # only, and writes the model and trace of the file without the column
+        plain = make_data(tmp_path, capsys)
+        with open(plain, newline="") as fh:
             rows = list(csv.reader(fh))
         data = tmp_path / "ids.csv"
         with open(data, "w", newline="") as fh:
             csv.writer(fh).writerows([["pid", *rows[0]]] + [
                 [f"p{i},{i % 7}", *row] for i, row in enumerate(rows[1:])])
+        flags = ["--confidence", "confidence", "--lambda2", "1", "--max-iters", "3"]
+        expected = train_bytes(tmp_path, capsys, plain, *flags)
         usecols = []
         loadtxt = np.loadtxt
 
@@ -173,18 +186,23 @@ class TestTrainPredictEvaluate:
             return loadtxt(*args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
-        models = []
-        for flags in (["--id-column", "pid"], ["--features", "f0,f1,f2,f3,f4"]):
-            models.append(tmp_path / f"m{len(models)}.json")
-            code, _, _ = run(
-                capsys, "train", "--data", str(data), *flags,
-                "--confidence", "confidence", "--max-iters", "3",
-                "--out", str(models[-1]), "--trace", str(tmp_path / "t.csv"),
-            )
-            assert code == 0
+        for columns in (["--id-column", "pid"], ["--features", "f0,f1,f2,f3,f4"]):
+            assert train_bytes(tmp_path, capsys, data, *columns, *flags) == expected
         assert len(usecols) == 2 and all(0 not in cols for cols in usecols)
-        assert json.loads(models[0].read_text())["matrix"] == (
-            json.loads(models[1].read_text())["matrix"])
+        # predict does read the ids, whose quoted cells hold commas
+        preds = tmp_path / "p.csv"
+        code, _, err = run(capsys, "predict", "--model", str(tmp_path / "model.json"),
+                           "--data", str(data), "--id-column", "pid",
+                           "--confidence", "confidence", "--out", str(preds))
+        assert (code, err) == (0, "")
+        with open(preds, newline="") as fh:
+            assert next(csv.DictReader(fh))["id"] == "p0,0"
+
+    def test_duplicate_only_rows_train(self, tmp_path, capsys):
+        # identical feature rows have no distance scale; they train at unit scale
+        data = tmp_path / "duplicates.csv"
+        data.write_text("f0,f1,label\n1,2,0\n1,2,0\n1,2,1\n1,2,1\n")
+        train_bytes(tmp_path, capsys, data)
 
     def test_lambda2_without_confidences_fails_cleanly(self, tmp_path, capsys):
         data = make_data(tmp_path, capsys)
@@ -304,6 +322,43 @@ class TestTrainPredictEvaluate:
 
 
 
+@pytest.mark.parametrize("synth, train, dead_rows", [
+    # three kernel tiles, the last one partial, and ~n^2/4 hinge pairs,
+    # counted without listing them
+    (["--n", "600"], ["--lambda1", "0.1", "--lambda2", "1", "--max-iters", "8"], False),
+    # 95% of the rows in class 1: the objective sorts its rows by label, so
+    # class 0 ends at row 30, inside the first tile, which the gradient then
+    # multiplies class by class
+    (["--n", "600", "--balance", "0.95"],
+     ["--lambda1", "0.1", "--lambda2", "1", "--max-iters", "8"], False),
+    # lambda1 = 4 zeroes most rows of L; every kernel, predict's too, is
+    # then built from the rows left
+    (["--n", "200", "--m", "8"], ["--lambda1", "4", "--lambda2", "0.1", "--max-iters", "30"],
+     True),
+], ids=["three-tiles", "skewed-classes", "dead-rows"])
+def test_train_rerun_writes_the_same_bytes(tmp_path, capsys, synth, train, dead_rows):
+    data = tmp_path / "data.csv"
+    assert run(capsys, "synth", "--m", "4", "--m-informative", "2", "--seed", "3", *synth,
+               "--out", str(data))[0] == 0
+    flags = ["--confidence", "confidence", *train]
+    model, trace = train_bytes(tmp_path, capsys, data, *flags)
+    assert train_bytes(tmp_path, capsys, data, *flags) == (model, trace)
+    rows = list(csv.DictReader(trace.decode().splitlines()))
+    # one row for the start and one per iteration: none of these fits stops early
+    assert len(rows) == int(train[train.index("--max-iters") + 1]) + 1
+    totals = [float(r["total"]) for r in rows]
+    assert all(b <= a for a, b in zip(totals, totals[1:])), totals
+    # every row counts the kernels its line search built
+    evals = [int(r["loss_evals"]) for r in rows]
+    assert evals[0] == 1 and all(e >= 1 for e in evals), evals
+    model = str(tmp_path / "model.json")
+    code, out, err = run(capsys, "inspect", "--model", model, "--heatmap",
+                         str(tmp_path / "heat.csv"), "--stats", str(tmp_path / "stats.csv"))
+    assert (code, err, json.loads(out)["n_zero_rows"] > 0) == (0, "", dead_rows)
+    assert run(capsys, "predict", "--model", model, "--data", str(data), "--confidence",
+               "confidence", "--out", str(tmp_path / "pred.csv"))[::2] == (0, "")
+
+
 class TestChunkedPredict:
     """predict reads and scores its query file a chunk of rows at a time."""
 
@@ -396,6 +451,19 @@ def trained_model(tmp_path, capsys):
     return data, model
 
 
+def predict_argv(model, data, tmp_path):
+    """predict, with confidences, of data against model, into out.csv."""
+    return ["predict", "--model", str(model), "--data", str(data),
+            "--confidence", "confidence", "--out", str(tmp_path / "out.csv")]
+
+
+def write_predictions(tmp_path, n):
+    """A p.csv file of n predictions, each 0.5."""
+    preds = tmp_path / "p.csv"
+    preds.write_text("id,confidence,label\n" + "".join(f"{i},0.5,0\n" for i in range(n)))
+    return preds
+
+
 def edit_json(path, **changes):
     raw = json.loads(path.read_text())
     raw.update(changes)
@@ -407,8 +475,7 @@ def probe_non_finite_feature(text, tmp_path, capsys):
     header, first, *rest = data.read_text().splitlines()
     first = ",".join([text] + first.split(",")[1:])
     data.write_text("\n".join([header, first, *rest]) + "\n")
-    return ["predict", "--model", str(model), "--data", str(data),
-            "--confidence", "confidence", "--out", str(tmp_path / "out.csv")]
+    return predict_argv(model, data, tmp_path)
 
 
 def probe_model_edit(tmp_path, capsys, command="predict", **changes):
@@ -418,8 +485,7 @@ def probe_model_edit(tmp_path, capsys, command="predict", **changes):
     if command == "inspect":
         return ["inspect", "--model", str(model), "--heatmap", str(tmp_path / "out.csv"),
                 "--stats", str(tmp_path / "stats.csv")]
-    return ["predict", "--model", str(model), "--data", str(data),
-            "--confidence", "confidence", "--out", str(tmp_path / "out.csv")]
+    return predict_argv(model, data, tmp_path)
 
 
 def with_first_entry(key, value):
@@ -438,15 +504,13 @@ def probe_model_without_rows(tmp_path, capsys):
     raw = json.loads(model.read_text())
     del raw["train_X"], raw["train_y"]
     model.write_text(json.dumps(raw))
-    return ["predict", "--model", str(model), "--data", str(data),
-            "--confidence", "confidence", "--out", str(tmp_path / "out.csv")]
+    return predict_argv(model, data, tmp_path)
 
 
 def probe_header_only(tmp_path, capsys):
     data, model = trained_model(tmp_path, capsys)
     data.write_text(data.read_text().splitlines()[0] + "\n")
-    return ["predict", "--model", str(model), "--data", str(data),
-            "--confidence", "confidence", "--out", str(tmp_path / "out.csv")]
+    return predict_argv(model, data, tmp_path)
 
 
 def probe_train_csv(text, tmp_path, capsys):
@@ -468,8 +532,7 @@ def probe_overflowing_feature(tmp_path, capsys):
 
 def probe_short_predictions(tmp_path, capsys):
     data = make_data(tmp_path, capsys)
-    preds = tmp_path / "p.csv"
-    preds.write_text("id,confidence,label\n" + "".join(f"{i},0.5,0\n" for i in range(59)))
+    preds = write_predictions(tmp_path, 59)
     return ["evaluate", "--pred", str(preds), "--data", str(data),
             "--confidence", "confidence"]
 
@@ -482,8 +545,7 @@ def probe_unknown_column(command, flag, tmp_path, capsys):
         return ["predict", "--model", str(model), "--data", str(data),
                 flag, "nosuchcolumn", "--out", str(tmp_path / "out.csv")]
     data = make_data(tmp_path, capsys)
-    preds = tmp_path / "p.csv"
-    preds.write_text("id,confidence,label\n" + "".join(f"{i},0.5,0\n" for i in range(60)))
+    preds = write_predictions(tmp_path, 60)
     return ["evaluate", "--pred", str(preds), "--data", str(data), flag, "nosuchcolumn"]
 
 
@@ -501,6 +563,25 @@ def probe_synth_config(raw, tmp_path, capsys):
     cfg = tmp_path / "synth.json"
     cfg.write_text(json.dumps(raw))
     return ["synth", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+
+
+def probe_synth_config_with_flags(tmp_path, capsys):
+    argv = probe_synth_config({"n": 20, "m": 3, "m_informative": 1}, tmp_path, capsys)
+    # --balance is not spelled like its field, class_balance
+    return [*argv, "--seed", "5", "--balance", "0.3", "--n", "999"]
+
+
+def probe_one_output_file(command, tmp_path, capsys):
+    """command with both its output flags naming out.csv, by two spellings."""
+    out, same = str(tmp_path / "out.csv"), f"{tmp_path}/./out.csv"
+    if command == "train":
+        return ["train", "--data", str(make_data(tmp_path, capsys)),
+                "--out", out, "--trace", same]
+    if command == "inspect":
+        return ["inspect", "--model", str(trained_model(tmp_path, capsys)[1]),
+                "--heatmap", out, "--stats", same]
+    return ["experiment", "--config", str(experiment_config(tmp_path)),
+            "--out", out, "--summary", same]
 
 
 def probe_predict_threshold(text, tmp_path, capsys):
@@ -529,10 +610,8 @@ def probe_synth_flag(flag, text, tmp_path, capsys):
 def probe_undecodable(target, tmp_path, capsys):
     """A command whose named input holds bytes that are not UTF-8."""
     data, model = trained_model(tmp_path, capsys)
-    preds = tmp_path / "p.csv"
-    preds.write_text("id,confidence,label\n" + "".join(f"{i},0.5,0\n" for i in range(60)))
-    predict = ["predict", "--model", str(model), "--data", str(data),
-               "--confidence", "confidence", "--out", str(tmp_path / "out.csv")]
+    preds = write_predictions(tmp_path, 60)
+    predict = predict_argv(model, data, tmp_path)
     argv, bad = {
         "train-csv": (["train", "--data", str(data), "--confidence", "confidence",
                        "--out", str(tmp_path / "m2.json"),
@@ -594,8 +673,7 @@ def probe_huge_format_version(tmp_path, capsys):
     edited = text.replace('"format_version": 1,', f'"format_version": {HUGE_INT},', 1)
     assert edited != text
     model.write_text(edited)
-    return ["predict", "--model", str(model), "--data", str(data),
-            "--confidence", "confidence", "--out", str(tmp_path / "out.csv")]
+    return predict_argv(model, data, tmp_path)
 
 
 def probe_experiment(drop, tmp_path, capsys, **overrides):
@@ -745,6 +823,10 @@ MALFORMED_INPUTS = {
     "train-proj-dim-bytes-past-intp": (
         functools.partial(probe_train_flag, "--proj-dim", str(10**18)), "validation",
     ),
+    "synth-config-beside-flags": (probe_synth_config_with_flags, "validation"),
+    **{f"{command}-one-output-file": (functools.partial(probe_one_output_file, command),
+                                      "validation")
+       for command in ("train", "inspect", "experiment")},
 }
 
 
@@ -793,7 +875,10 @@ def test_synth_flag_rejected_by_synth_config(tmp_path, capsys, flag, text, match
     (probe_short_predictions, "prediction rows (59) do not match data rows (60)"),
     (probe_header_only, "no data rows"),
     (probe_model_without_rows, "missing field"),
-], ids=["evaluate-row-count-mismatch", "predict-header-only", "model-without-training-rows"])
+    (probe_synth_config_with_flags, "--config cannot be combined with --n, --balance, --seed"),
+    (functools.partial(probe_one_output_file, "train"), "--out and --trace name one file"),
+], ids=["evaluate-row-count-mismatch", "predict-header-only", "model-without-training-rows",
+        "synth-config-beside-flags", "train-one-output-file"])
 def test_cli_check_names_its_cause(tmp_path, capsys, probe, match):
     """The CLI's own checks fire before a later layer rejects the same input."""
     code, _, err = run(capsys, *probe(tmp_path, capsys))
@@ -855,12 +940,60 @@ def test_help_prints_usage_and_exits_zero(capsys, argv):
     assert out.startswith("usage: confmetric") and err == ""
 
 
+# the environment of a fresh Python process that imports this package
+PROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(confmetric.__file__).parents[1])}
+
+
 def test_import_leaves_scipy_stats_out():
-    src = Path(confmetric.__file__).parents[1]
     code = "import sys, confmetric.cli; print('scipy.stats' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+                            env=PROCESS_ENV, check=True)
     assert result.stdout == "False\n"
+
+
+def run_process(*argv):
+    """(exit code, stdout, stderr) of the CLI in a process of its own, with
+    every warning an error."""
+    result = subprocess.run([sys.executable, "-W", "error", "-m", "confmetric.cli", *argv],
+                            capture_output=True, text=True, env=PROCESS_ENV)
+    return result.returncode, result.stdout, result.stderr
+
+
+def contract_run(command, tmp_path, capsys):
+    """The argv of a successful run of command, on small inputs made in
+    process; None for a command without one."""
+    data, model = trained_model(tmp_path, capsys)
+    preds = write_predictions(tmp_path, 60)
+    out, other = str(tmp_path / "out.csv"), str(tmp_path / "other.csv")
+    config = experiment_config(tmp_path, trials=1, train_sizes=[15], max_iters=3)
+    return {
+        "synth": ["synth", "--n", "40", "--out", out],
+        "train": ["train", "--data", str(data), "--confidence", "confidence",
+                  "--max-iters", "3", "--out", other, "--trace", out],
+        "predict": predict_argv(model, data, tmp_path),
+        "evaluate": ["evaluate", "--pred", str(preds), "--data", str(data),
+                     "--confidence", "confidence"],
+        "experiment": ["experiment", "--config", str(config), "--out", out, "--summary", other],
+        "inspect": ["inspect", "--model", str(model), "--heatmap", out, "--stats", other],
+    }.get(command)
+
+
+@pytest.mark.parametrize("command", cli.build_parser()._subparsers._group_actions[0].choices)
+def test_success_is_one_json_line_on_stdout(tmp_path, capsys, command):
+    argv = contract_run(command, tmp_path, capsys)
+    assert argv, f"no process-contract run for {command!r}"
+    code, out, err = run_process(*argv)
+    assert (code, err) == (0, "")
+    (line,) = out.splitlines()
+    json.loads(line)
+
+
+def test_failure_is_one_json_line_on_stderr(tmp_path, capsys):
+    # a config nested past the recursion limit of a fresh process's stack
+    code, out, err = run_process(*probe_json_file("experiment", DEEP_JSON, tmp_path, capsys))
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "validation"
 
 
 class TestInspect:

@@ -13,10 +13,8 @@ from confmetric import (
     NumericalFailureError,
     ValidationError,
     camel_loss,
-    class_similarity,
     confidence_score,
     kernel_similarity,
-    margin,
     positive_scores,
     similarity_scores,
     squared_distance,
@@ -92,25 +90,27 @@ class TestKernelSimilarity:
 
 
 class TestClassSimilarity:
+    """The training class means of similarity_scores, self excluded."""
+
     def test_identical_single_reference(self):
-        data = Dataset(np.array([[1.0, 2.0], [1.0, 2.0], [9.9, 9.9]]), [1, 1, 0])
-        assert class_similarity(np.eye(2), data, 0, 1) == 1.0
+        X = np.array([[1.0, 2.0], [1.0, 2.0], [9.9, 9.9], [9.9, 9.9]])
+        assert similarity_scores(np.eye(2), Dataset(X, [1, 1, 0, 0]))[0, 1] == 1.0
 
     def test_mean_of_two_kernels(self):
         # references at distances -ln(0.2) and -ln(0.4) from x_0
         d1, d2 = -math.log(0.2), -math.log(0.4)
         X = np.array([[0.0], [math.sqrt(d1)], [math.sqrt(d2)], [50.0]])
         data = Dataset(X, [0, 1, 1, 0])
-        assert class_similarity(np.eye(1), data, 0, 1) == pytest.approx(0.3)
+        assert similarity_scores(np.eye(1), data)[0, 1] == pytest.approx(0.3)
 
     def test_degenerate_class(self):
         data = Dataset(np.array([[0.0], [1.0]]), [1, 0])
         with pytest.raises(DegenerateClassError):
-            class_similarity(np.eye(1), data, 0, 1)
+            similarity_scores(np.eye(1), data)
 
     def test_self_excluded_by_index(self):
-        data = Dataset(np.array([[0.0], [2.0], [1.0]]), [1, 1, 0])
-        s = class_similarity(np.eye(1), data, 0, 1)
+        data = Dataset(np.array([[0.0], [2.0], [1.0], [5.0]]), [1, 1, 0, 0])
+        s = similarity_scores(np.eye(1), data)[0, 1]
         assert s == pytest.approx(math.exp(-4.0))
 
 
@@ -328,11 +328,7 @@ class TestAllZeroRows:
      "metric parameter contains non-finite"),
     (lambda data: positive_scores(np.eye(3), data, np.zeros((2, 3, 3))),
      "query rows must be a 2-D array, not 3-D"),
-    (lambda data: class_similarity(np.eye(3), data, 4, 0), "index 4 out of range for n=4"),
-    (lambda data: class_similarity(np.eye(3), data, -1, 0), "index -1 out of range"),
-    (lambda data: margin(np.eye(3), data, 4), "index 4 out of range for n=4"),
-], ids=["query-width", "L-width", "1-D-L", "nan-L", "3-D-query",
-        "similarity-index-past-n", "similarity-negative-index", "margin-index-past-n"])
+], ids=["query-width", "L-width", "1-D-L", "nan-L", "3-D-query"])
 def test_metric_and_input_shapes_checked(call, match):
     data = Dataset(np.arange(12.0).reshape(4, 3), [0, 1, 0, 1])
     with pytest.raises(DimensionMismatchError, match=match):
@@ -418,9 +414,9 @@ class TestClassSimilarityQuery:
         data = Dataset(np.array([[3.0], [4.0]]), [1, 0])
         score = positive_scores(np.eye(1), data, [3.0])[0]
         assert score == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), rel=1e-15)
-        # the class-1 mean of a row at the query, with the query as the excluded row
-        at_query = Dataset(np.vstack([[3.0], data.X]), [0, *data.y])
-        assert class_similarity(np.eye(1), at_query, 0, 1) == 1.0
+        # the training class-1 mean of a row at the query's class-1 references
+        at_query = Dataset(np.vstack([[3.0], data.X, data.X]), [0, 1, 0, 1, 0])
+        assert similarity_scores(np.eye(1), at_query)[0, 1] == 1.0
 
     def test_underflow_to_zero(self):
         data = Dataset(np.array([[1e6], [0.0]]), [1, 0])
@@ -537,9 +533,10 @@ def test_similarity_scores_match_scalar_path():
     S = similarity_scores(L, data)
     for i in range(data.n):
         for label in (0, 1):
-            assert S[i, label] == pytest.approx(
-                class_similarity(L, data, i, label), rel=1e-12
-            )
+            # the scalar reference: one kernel value per pair of rows
+            mean = np.mean([kernel_similarity(L, data.X[i], data.X[j])
+                            for j in range(data.n) if j != i and data.y[j] == label])
+            assert S[i, label] == pytest.approx(mean, rel=1e-12)
     # underflow regime: a same-class kernel value of 1e-20 must survive self-
     # exclusion rather than round away as 1 + 1e-20 - 1
     d = math.sqrt(20.0 * math.log(10.0))

@@ -15,12 +15,18 @@ from confmetric import (
     build_ranking_pairs,
     camel_cl_loss,
     camel_loss,
-    margin,
     similarity_scores,
     smooth_gradient,
 )
 from confmetric.objective import Objective, _confidence_ranks, _counted_hinge
 from test_metric import seed_order_kernel
+
+
+def margins(L, data):
+    """Each row's own-class minus opposite-class similarity score."""
+    S = similarity_scores(L, data)
+    rows = np.arange(data.n)
+    return S[rows, data.y] - S[rows, 1 - data.y]
 
 
 def brute_force_loss(L, X, y, lambda1):
@@ -192,20 +198,20 @@ class TestMargin:
     def test_coincident_same_class_far_opposite(self):
         X = np.array([[0.0], [0.0], [1e4], [1e4]])
         data = Dataset(X, [1, 1, 0, 0])
-        assert margin(np.eye(1), data, 0) == pytest.approx(1.0)
+        assert margins(np.eye(1), data)[0] == pytest.approx(1.0)
 
     def test_symmetric_configuration_is_zero(self):
         # x_0 equidistant from its same-class and opposite-class partner
         X = np.array([[0.0], [2.0], [-2.0], [100.0], [-100.0]])
         data = Dataset(X, [1, 1, 0, 1, 0])
-        assert margin(np.eye(1), data, 0) == pytest.approx(0.0, abs=1e-15)
+        assert margins(np.eye(1), data)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_subtraction_of_similarity_scores(self):
         d_same, d_opp = -math.log(0.3), -math.log(0.5)
         X = np.array([[0.0], [math.sqrt(d_same)], [math.sqrt(d_opp)], [1e3]])
         data = Dataset(X, [1, 1, 0, 0])
         # S^own = (0.3 + underflow)/2 is wrong: only one same-class ref here
-        assert margin(np.eye(1), data, 0) == pytest.approx(0.3 - 0.25)
+        assert margins(np.eye(1), data)[0] == pytest.approx(0.3 - 0.25)
 
 
 class TestCamelLoss:
@@ -245,8 +251,7 @@ class TestCamelLoss:
         data = random_dataset(rng)
         L = rng.normal(size=(2, 3))
         lb = camel_loss(L, data, lambda1=0.0)
-        margins = sum(margin(L, data, i) for i in range(data.n))
-        assert lb.total == pytest.approx(-margins, rel=1e-12)
+        assert lb.total == pytest.approx(-margins(L, data).sum(), rel=1e-12)
 
 
 class TestCamelClLoss:
@@ -264,12 +269,12 @@ class TestCamelClLoss:
         rng = np.random.default_rng(6)
         data = random_dataset(rng)
         L = rng.normal(size=(3, 3))
-        margins = [margin(L, data, i) for i in range(data.n)]
+        marg = margins(L, data)
         same = [
             (a, b)
             for a in range(data.n)
             for b in range(data.n)
-            if a != b and data.y[a] == data.y[b] and margins[a] > margins[b]
+            if a != b and data.y[a] == data.y[b] and marg[a] > marg[b]
         ]
         a, b = same[0]
         cfg = TrainConfig(lambda1=0.0, lambda2=3.0)
@@ -280,17 +285,17 @@ class TestCamelClLoss:
         rng = np.random.default_rng(7)
         data = random_dataset(rng)
         L = rng.normal(size=(3, 3))
-        margins = [margin(L, data, i) for i in range(data.n)]
+        marg = margins(L, data)
         viol = [
             (a, b)
             for a in range(data.n)
             for b in range(data.n)
-            if a != b and data.y[a] == data.y[b] and margins[a] < margins[b]
+            if a != b and data.y[a] == data.y[b] and marg[a] < marg[b]
         ]
         a, b = viol[0]
         cfg = TrainConfig(lambda1=0.0, lambda2=2.0)
         lb = camel_cl_loss(L, data, cfg, RankingPairs(np.array([[a, b]])))
-        assert lb.ranking == pytest.approx(2.0 * (margins[b] - margins[a]), rel=1e-10)
+        assert lb.ranking == pytest.approx(2.0 * (marg[b] - marg[a]), rel=1e-10)
         assert lb.ranking >= 0.0
 
     def test_pair_index_out_of_range(self):
@@ -347,11 +352,7 @@ def finite_difference(L, data, cfg, pairs, h=1e-5):
 def hinge_near_kink(L, data, pairs, eps=1e-7):
     if not len(pairs):
         return False
-    from confmetric import similarity_scores
-
-    S = similarity_scores(L, data)
-    idx = np.arange(data.n)
-    marg = S[idx, data.y] - S[idx, 1 - data.y]
+    marg = margins(L, data)
     args = marg[pairs.pairs[:, 1]] - marg[pairs.pairs[:, 0]]
     return bool(np.any(np.abs(args) < eps))
 
