@@ -85,11 +85,18 @@ def _given_fields(cls, args) -> dict:
             if hasattr(args, f.name)}
 
 
-def _distinct_outputs(args, first, second):
-    """Two output flags naming one file would leave only the later write."""
-    if os.path.realpath(getattr(args, first)) == os.path.realpath(getattr(args, second)):
-        raise ValidationError(f"--{first} and --{second} name one file: "
-                              f"{getattr(args, second)}")
+def _distinct_outputs(args, outputs, inputs):
+    """No output flag may name the file of another file flag: its write would
+    replace an input, or leave only the later of two outputs."""
+    seen = {}
+    for flag in (*inputs, *outputs):
+        if not getattr(args, flag):
+            continue
+        path = os.path.realpath(getattr(args, flag))
+        if flag in outputs and path in seen:
+            raise ValidationError(f"--{seen[path]} and --{flag} name one file: "
+                                  f"{getattr(args, flag)}")
+        seen.setdefault(path, flag)
 
 
 def _add_schema_flags(p):
@@ -104,7 +111,7 @@ def _add_schema_flags(p):
 
 
 def cmd_train(args) -> int:
-    _distinct_outputs(args, "out", "trace")
+    _distinct_outputs(args, ["out", "trace"], ["data"])
     schema = _schema_from_flags(args.data, args)
     # a model keeps no ids: the id column is checked in the header, not parsed
     data, _ = load_csv(args.data, dataclasses.replace(schema, id_column=None))
@@ -137,6 +144,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _distinct_outputs(args, ["out"], ["data", "model"])
     if not math.isfinite(args.threshold):
         raise ValidationError(f"--threshold must be finite, got {args.threshold!r}")
     model = load_model(args.model)
@@ -183,7 +191,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    _distinct_outputs(args, "out", "summary")
+    _distinct_outputs(args, ["out", "summary"], ["config"])
     cfg = ExperimentConfig.from_dict(read_json(args.config, "invalid experiment config"))
     records = run_experiment(cfg)
     write_results_csv(args.out, records)
@@ -199,6 +207,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _distinct_outputs(args, ["out"], ["config"])
     given = _given_fields(SynthConfig, args)
     if args.config:
         if given:
@@ -215,7 +224,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    _distinct_outputs(args, "heatmap", "stats")
+    _distinct_outputs(args, ["heatmap", "stats"], ["model"])
     model = load_model(args.model)
     L = model.matrix
     write_csv(args.heatmap, None, heatmap_matrix(L).tolist())

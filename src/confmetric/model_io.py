@@ -3,11 +3,16 @@
 The classifier is instance-based: scoring a query needs the training
 instances as reference points, so the model file carries them alongside the
 learned matrix.
+
+A model's fingerprint is the first 16 hex digits of the SHA-256 of its
+feature columns joined by newlines, UTF-8 encoded. It is taken from
+CPython's built-in SHA-256 module rather than ``hashlib``, whose import
+loads OpenSSL (about 3.5 MiB of a ``predict`` process's peak). SHA-256 is
+one function, so any Python and either module give the same digest.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -17,12 +22,20 @@ from .data_io import read_json
 from .dataset import Dataset
 from .errors import SchemaMismatchError, ValidationError
 
+try:  # hashlib is heavy to load (OpenSSL): the lean built-in module first
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 FORMAT_VERSION = 1
 
 
 def schema_fingerprint(feature_columns: list[str]) -> str:
-    """Hash of the ordered feature-column names."""
-    digest = hashlib.sha256("\n".join(feature_columns).encode("utf-8"))
+    """First 16 hex digits of the SHA-256 of the newline-joined feature columns."""
+    digest = sha256("\n".join(feature_columns).encode("utf-8"))
     return digest.hexdigest()[:16]
 
 

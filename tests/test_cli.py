@@ -571,17 +571,16 @@ def probe_synth_config_with_flags(tmp_path, capsys):
     return [*argv, "--seed", "5", "--balance", "0.3", "--n", "999"]
 
 
-def probe_one_output_file(command, tmp_path, capsys):
-    """command with both its output flags naming out.csv, by two spellings."""
-    out, same = str(tmp_path / "out.csv"), f"{tmp_path}/./out.csv"
-    if command == "train":
-        return ["train", "--data", str(make_data(tmp_path, capsys)),
-                "--out", out, "--trace", same]
-    if command == "inspect":
-        return ["inspect", "--model", str(trained_model(tmp_path, capsys)[1]),
-                "--heatmap", out, "--stats", same]
-    return ["experiment", "--config", str(experiment_config(tmp_path)),
-            "--out", out, "--summary", same]
+def probe_shared_file(command, output, other, tmp_path, capsys):
+    """A run of command whose output flag names the file of its other flag,
+    an input or another output, by another spelling."""
+    if command == "synth":
+        argv = probe_synth_config({"n": 20, "m": 3, "m_informative": 1}, tmp_path, capsys)
+    else:
+        argv = contract_run(command, tmp_path, capsys)
+    path = Path(argv[argv.index(f"--{other}") + 1])
+    argv[argv.index(f"--{output}") + 1] = f"{path.parent}/./{path.name}"
+    return argv
 
 
 def probe_predict_threshold(text, tmp_path, capsys):
@@ -824,9 +823,17 @@ MALFORMED_INPUTS = {
         functools.partial(probe_train_flag, "--proj-dim", str(10**18)), "validation",
     ),
     "synth-config-beside-flags": (probe_synth_config_with_flags, "validation"),
-    **{f"{command}-one-output-file": (functools.partial(probe_one_output_file, command),
-                                      "validation")
-       for command in ("train", "inspect", "experiment")},
+    **{f"{command}-one-output-file": (
+        functools.partial(probe_shared_file, command, output, other), "validation")
+       for command, output, other in (("train", "trace", "out"), ("inspect", "stats", "heatmap"),
+                                      ("experiment", "summary", "out"))},
+    **{f"{command}-{output}-over-{other}": (
+        functools.partial(probe_shared_file, command, output, other), "validation")
+       for command, output, other in (
+           ("train", "out", "data"), ("train", "trace", "data"), ("predict", "out", "data"),
+           ("predict", "out", "model"), ("inspect", "heatmap", "model"),
+           ("inspect", "stats", "model"), ("experiment", "out", "config"),
+           ("experiment", "summary", "config"), ("synth", "out", "config"))},
 }
 
 
@@ -876,9 +883,12 @@ def test_synth_flag_rejected_by_synth_config(tmp_path, capsys, flag, text, match
     (probe_header_only, "no data rows"),
     (probe_model_without_rows, "missing field"),
     (probe_synth_config_with_flags, "--config cannot be combined with --n, --balance, --seed"),
-    (functools.partial(probe_one_output_file, "train"), "--out and --trace name one file"),
+    (functools.partial(probe_shared_file, "train", "trace", "out"),
+     "--out and --trace name one file"),
+    (functools.partial(probe_shared_file, "predict", "out", "model"),
+     "--model and --out name one file"),
 ], ids=["evaluate-row-count-mismatch", "predict-header-only", "model-without-training-rows",
-        "synth-config-beside-flags", "train-one-output-file"])
+        "synth-config-beside-flags", "train-one-output-file", "predict-out-over-model"])
 def test_cli_check_names_its_cause(tmp_path, capsys, probe, match):
     """The CLI's own checks fire before a later layer rejects the same input."""
     code, _, err = run(capsys, *probe(tmp_path, capsys))
@@ -944,11 +954,20 @@ def test_help_prints_usage_and_exits_zero(capsys, argv):
 PROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(confmetric.__file__).parents[1])}
 
 
-def test_import_leaves_scipy_stats_out():
-    code = "import sys, confmetric.cli; print('scipy.stats' in sys.modules)"
+def test_predict_and_evaluate_leave_heavy_modules_out(tmp_path, capsys):
+    """Scoring and evaluating in a fresh process load neither scipy.stats,
+    numpy.random nor OpenSSL's _hashlib (3.5 MiB of a predict's peak)."""
+    data, model = trained_model(tmp_path, capsys)
+    predict = predict_argv(model, data, tmp_path)
+    evaluate = ["evaluate", "--pred", str(tmp_path / "out.csv"), "--data", str(data),
+                "--confidence", "confidence"]
+    code = (f"import sys; from confmetric.cli import main; "
+            f"assert main({predict!r}) == main({evaluate!r}) == 0; "
+            f"print([m for m in ('scipy.stats', 'numpy.random', '_hashlib') "
+            f"if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=PROCESS_ENV, check=True)
-    assert result.stdout == "False\n"
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def run_process(*argv):

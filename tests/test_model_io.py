@@ -1,7 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from confmetric import (
     ModelFile,
@@ -29,6 +32,17 @@ class TestFingerprint:
 
     def test_deterministic(self):
         assert schema_fingerprint(["x", "y"]) == schema_fingerprint(["x", "y"])
+
+    @given(columns=st.lists(st.text()))
+    def test_is_sha256_of_the_joined_columns(self, columns):
+        # any text, non-ASCII and embedded newlines included
+        digest = hashlib.sha256("\n".join(columns).encode("utf-8")).hexdigest()
+        assert schema_fingerprint(columns) == digest[:16]
+
+    def test_pinned_digest(self):
+        # the fingerprint in model files written by every earlier version
+        columns = [f"f{i}" for i in range(20)]
+        assert schema_fingerprint(columns) == "b7e597e2cc3bd331"
 
     def test_check_compatible(self):
         model = sample_model(np.random.default_rng(0))
