@@ -85,18 +85,22 @@ def _given_fields(cls, args) -> dict:
             if hasattr(args, f.name)}
 
 
-def _distinct_outputs(args, outputs, inputs):
-    """No output flag may name the file of another file flag: its write would
-    replace an input, or leave only the later of two outputs."""
+def _distinct_outputs(args, outputs, inputs, sources=()):
+    """No output flag may name the file of another file flag, or of a source
+    (a name and the path an input file gives, opened from the working
+    directory): its write would replace an input, or leave only the later of
+    two outputs."""
     seen = {}
-    for flag in (*inputs, *outputs):
-        if not getattr(args, flag):
+    files = [*((f"--{flag}", getattr(args, flag), False) for flag in inputs),
+             *((name, file, False) for name, file in sources),
+             *((f"--{flag}", getattr(args, flag), True) for flag in outputs)]
+    for name, file, written in files:
+        if not file:
             continue
-        path = os.path.realpath(getattr(args, flag))
-        if flag in outputs and path in seen:
-            raise ValidationError(f"--{seen[path]} and --{flag} name one file: "
-                                  f"{getattr(args, flag)}")
-        seen.setdefault(path, flag)
+        path = os.path.realpath(file)
+        if written and path in seen:
+            raise ValidationError(f"{seen[path]} and {name} name one file: {file}")
+        seen.setdefault(path, name)
 
 
 def _add_schema_flags(p):
@@ -191,8 +195,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    _distinct_outputs(args, ["out", "summary"], ["config"])
     cfg = ExperimentConfig.from_dict(read_json(args.config, "invalid experiment config"))
+    _distinct_outputs(args, ["out", "summary"], ["config"], [("data.csv.path", cfg.csv_path)])
     records = run_experiment(cfg)
     write_results_csv(args.out, records)
     rows = summarize(records)

@@ -78,8 +78,10 @@ class ExperimentConfig:
             raise ValidationError("exactly one data source (synth or csv) is required")
         if (self.csv_schema is None) != (self.csv_path is None):
             raise ValidationError("csv_schema is required exactly when csv_path is given")
-        if self.csv_path is not None and not isinstance(self.csv_path, str):
-            raise ValidationError("the csv path must be a string")
+        if self.csv_path is not None and (not isinstance(self.csv_path, str)
+                                          or "\0" in self.csv_path):
+            # no file name holds a NUL: open() would raise a bare ValueError
+            raise ValidationError("the csv path must be a string without NUL characters")
         # TrainConfig checks max_iters, proj_dim, seed and every grid cell, used or not
         for method in METHODS:
             self.train_configs(method, self.seed)

@@ -685,6 +685,19 @@ def probe_experiment(drop, tmp_path, capsys, **overrides):
             "--summary", str(tmp_path / "summary.csv")]
 
 
+def probe_experiment_over_source(output, tmp_path, capsys):
+    """An experiment whose output flag names, by another spelling, the CSV
+    source its config gives relative to the working directory."""
+    source = make_data(tmp_path, capsys, name="source.csv")
+    argv = probe_experiment([], tmp_path, capsys, trials=1, train_sizes=[15], max_iters=3,
+                            data={"csv": {"path": os.path.relpath(source),
+                                          "feature_columns": [f"f{j}" for j in range(5)],
+                                          "label_column": "label",
+                                          "confidence_column": "confidence"}})
+    argv[argv.index(f"--{output}") + 1] = f"{source.parent}/./{source.name}"
+    return argv
+
+
 MALFORMED_INPUTS = {
     "nan-feature": (functools.partial(probe_non_finite_feature, "nan"), "validation"),
     "inf-feature": (functools.partial(probe_non_finite_feature, "inf"), "validation"),
@@ -834,12 +847,22 @@ MALFORMED_INPUTS = {
            ("predict", "out", "model"), ("inspect", "heatmap", "model"),
            ("inspect", "stats", "model"), ("experiment", "out", "config"),
            ("experiment", "summary", "config"), ("synth", "out", "config"))},
+    **{f"experiment-{output}-over-csv-source": (
+        functools.partial(probe_experiment_over_source, output), "validation")
+       for output in ("out", "summary")},
+    "experiment-nul-in-csv-path": (
+        functools.partial(probe_experiment, [], data={"csv": {
+            "path": "data\0.csv", "feature_columns": ["f0"], "label_column": "label"}}),
+        "validation",
+    ),
 }
 
 
 @pytest.mark.parametrize("probe, error", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS)
 def test_malformed_input_is_one_json_error(tmp_path, capsys, probe, error):
     argv = probe(tmp_path, capsys)
+    # a refused run writes nothing: every file it was given stays as it was
+    given = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -848,6 +871,7 @@ def test_malformed_input_is_one_json_error(tmp_path, capsys, probe, error):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
     assert not (tmp_path / "out.csv").exists()
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == given
 
 
 @pytest.mark.parametrize("key, value", [("matrix", math.inf), ("matrix", math.nan),

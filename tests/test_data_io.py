@@ -491,11 +491,14 @@ def datasets(draw):
 
 class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
-    @given(data=datasets())
-    def test_save_writes_what_csv_writer_writes(self, tmp_path_factory, data):
-        # save_csv joins its rows itself; the bytes must be the csv module's
+    @given(data=datasets(), block=st.integers(1, 3))
+    def test_save_writes_what_csv_writer_writes(self, tmp_path_factory, data, block):
+        # save_csv joins its rows itself, in blocks of 1 to 3 rows here; the
+        # bytes must be the csv module's
         p = tmp_path_factory.getbasetemp() / "saved.csv"
-        schema = save_csv(p, data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_io, "_WRITE_ROWS", block)
+            schema = save_csv(p, data)
         header = [*schema.feature_columns, schema.label_column,
                   *([schema.confidence_column] if data.c is not None else [])]
         rows = [x.tolist() + [int(data.y[i])]
@@ -514,6 +517,20 @@ class TestRoundTrip:
         assert np.array_equal(back.X, data.X)
         assert np.array_equal(back.y, data.y)
         assert np.array_equal(back.c, data.c)
+
+    def test_save_holds_one_block(self, tmp_path):
+        # 20,000 rows as Python objects would take 14 MiB
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.normal(size=(20_000, 20)), np.arange(20_000) % 2,
+                       rng.uniform(size=20_000))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            save_csv(tmp_path / "big.csv", data)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 2**20
 
     def test_save_without_confidences(self, tmp_path):
         data = Dataset(np.array([[1.0], [2.0], [3.0], [4.0]]), [0, 1, 0, 1])

@@ -1,11 +1,14 @@
+import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confmetric import data_io
 from confmetric import (
     ModelFile,
     SchemaMismatchError,
@@ -51,6 +54,32 @@ class TestFingerprint:
             model.check_compatible(["a", "b", "c"])
 
 
+# the extremes of float64 beside ordinary finite values
+FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def models(draw):
+    """A ModelFile that load_model accepts, of a few rows and columns."""
+    n, m, k = draw(st.integers(1, 8)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def matrix(rows):
+        return np.reshape(draw(st.lists(FLOATS, min_size=rows * m, max_size=rows * m)),
+                          (rows, m))
+
+    return ModelFile(
+        matrix=matrix(k),
+        feature_columns=draw(st.lists(st.text(), min_size=m, max_size=m)),
+        train_config=draw(st.dictionaries(st.text(), FLOATS | st.none()
+                                          | st.integers(-2**63, 2**63), max_size=3)),
+        train_X=matrix(n),
+        train_y=np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))),
+    )
+
+
 class TestRoundTrip:
     def test_bit_exact(self, tmp_path):
         model = sample_model(np.random.default_rng(1))
@@ -64,24 +93,58 @@ class TestRoundTrip:
         assert back.train_config == model.train_config
         assert back.fingerprint == model.fingerprint
 
-    def test_file_is_what_json_dump_writes(self, tmp_path):
-        # the C encoder writes the bytes the pure-Python one wrote, floats by repr
-        model = sample_model(np.random.default_rng(3))
-        path = tmp_path / "m.json"
-        save_model(path, model)
+    @settings(max_examples=200, deadline=None)
+    @given(model=models(), block=st.integers(1, 3))
+    def test_file_is_what_json_dump_writes(self, tmp_path_factory, model, block):
+        # the C encoder's bytes, floats by repr, though the arrays are written
+        # in blocks, here of 1 to 3 rows, so that most arrays span several
+        path = tmp_path_factory.getbasetemp() / "streamed.json"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_io, "_WRITE_ROWS", block)
+            save_model(path, model)
         payload = {
             "format_version": 1,
             "fingerprint": model.fingerprint,
             "feature_columns": model.feature_columns,
             "train_config": model.train_config,
-            "matrix": [[float(v) for v in row] for row in model.matrix],
-            "train_X": [[float(v) for v in row] for row in model.train_X],
-            "train_y": [int(v) for v in model.train_y],
+            "matrix": model.matrix.tolist(),
+            "train_X": model.train_X.tolist(),
+            "train_y": model.train_y.tolist(),
         }
-        with open(tmp_path / "ref.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-        assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+        assert path.read_bytes() == (json.dumps(payload) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("n", [2_000, 20_000])
+    def test_write_holds_one_block(self, tmp_path, n):
+        # the traced peak stays flat while train_X grows from 0.3 to 3.2 MB
+        rng = np.random.default_rng(0)
+        model = ModelFile(rng.normal(size=(20, 20)), [f"f{j}" for j in range(20)], {},
+                          train_X=rng.normal(size=(n, 20)), train_y=np.arange(n) % 2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            save_model(tmp_path / "m.json", model)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 2**20
+
+    @pytest.mark.parametrize("field, index, value, match", [
+        ("matrix", (1, 2), np.nan, "matrix has non-finite entries"),
+        ("train_X", (3, 1), np.inf, "training rows: features contain non-finite values"),
+        ("train_y", 2, 2, "training rows: labels must be 0 or 1"),
+        ("train_y", 2, 0.5, "train_y must hold 6 integer labels"),
+    ], ids=["nan-matrix", "inf-train-X", "label-two", "float-label"])
+    def test_a_model_load_model_rejects_is_not_written(self, tmp_path, field, index, value,
+                                                       match):
+        model = sample_model(np.random.default_rng(4))
+        array = getattr(model, field).astype(type(value))
+        array[index] = value
+        model = dataclasses.replace(model, **{field: array})
+        path = tmp_path / "m.json"
+        path.write_text("an earlier model\n")
+        with pytest.raises(ValidationError, match=f"^model not saved: {match}$"):
+            save_model(path, model)
+        assert path.read_text() == "an earlier model\n"
 
 
 class TestCorruptFiles:
